@@ -8,9 +8,11 @@ use ds_bench::{dataset, print_table};
 use ds_comm::Communicator;
 use ds_partition::{quality, simple, MultilevelPartitioner, Partition, Partitioner, Renumbering};
 use ds_sampling::csp::{CspConfig, CspSampler};
-use ds_sampling::{BatchSampler, DistGraph, SeedSchedule};
-use ds_simgpu::{Clock, ClusterSpec};
+use ds_sampling::{BatchSampler, DistGraph};
+use ds_simgpu::ClusterSpec;
 use dsp_core::config::TrainConfig;
+use dsp_core::layout::colocated_schedules;
+use dsp_core::sampler_only_epoch;
 use std::sync::Arc;
 
 fn run_with_partition(
@@ -24,43 +26,18 @@ fn run_with_partition(
     let dg = Arc::new(DistGraph::from_renumbered(&graph, &renum));
     let cluster = Arc::new(ClusterSpec::v100_scaled(gpus, d.spec.scale).build());
     let comm = Arc::new(Communicator::new(1, Arc::clone(&cluster)));
-    let train_new = renum.apply_nodes(&d.train);
-    let mut per_rank: Vec<Vec<u32>> = vec![Vec::new(); gpus];
-    for v in train_new {
-        per_rank[renum.owner_of(v) as usize].push(v);
-    }
-    let nb = SeedSchedule::common_batches(
-        per_rank.iter().map(|s| s.len()).max().unwrap(),
-        cfg.batch_size,
-    );
-    let handles: Vec<_> = (0..gpus)
+    let schedules = colocated_schedules(&renum, &d.train, gpus, cfg);
+    let csp_cfg = CspConfig::node_wise(cfg.fanout.clone()).with_seed(cfg.seed);
+    let mut samplers: Vec<CspSampler> = (0..gpus)
         .map(|rank| {
-            let dg = Arc::clone(&dg);
-            let cluster = Arc::clone(&cluster);
-            let comm = Arc::clone(&comm);
-            let sched = SeedSchedule::new(per_rank[rank].clone(), cfg.batch_size, nb, cfg.seed);
-            let fanout = cfg.fanout.clone();
-            let seed = cfg.seed;
-            ds_exec::spawn_device(rank, move || {
-                let mut s = CspSampler::new(
-                    dg,
-                    cluster,
-                    comm,
-                    rank,
-                    CspConfig::node_wise(fanout).with_seed(seed),
-                );
-                let mut clock = Clock::new();
-                for batch in sched.epoch_batches(0) {
-                    let _ = s.sample_batch(&mut clock, &batch);
-                }
-                clock.now()
-            })
+            let (dg, cluster, comm) = (Arc::clone(&dg), Arc::clone(&cluster), Arc::clone(&comm));
+            CspSampler::new(dg, cluster, comm, rank, csp_cfg.clone())
         })
         .collect();
-    let t = handles
-        .into_iter()
-        .map(|h| h.join().unwrap())
-        .fold(0.0, f64::max);
+    let samplers = samplers
+        .iter_mut()
+        .map(|s| s as &mut (dyn BatchSampler + Send));
+    let t = sampler_only_epoch(samplers, &schedules, 0);
     let (nvlink, _, _) = cluster.traffic_totals();
     (t, nvlink, quality::edge_cut_fraction(&d.graph, partition))
 }

@@ -39,7 +39,6 @@ fn main() {
     let epochs = if ds_bench::quick_mode() { 2 } else { 4 };
 
     let mut dsp = DspSystem::new(&dataset, 2, &cfg, true);
-    let wall0 = std::time::Instant::now();
     for epoch in 0..epochs {
         let stats = dsp.run_epoch(epoch);
         eprintln!(
@@ -48,18 +47,6 @@ fn main() {
             stats.epoch_time * 1e3
         );
     }
-    // Wall-clock (not virtual) seconds spent in the training epochs —
-    // the number the tensor-kernel speedup target is measured against.
-    let trainer_wall_s = wall0.elapsed().as_secs_f64();
-    eprintln!("[bench_pipeline] trainer wall-clock: {trainer_wall_s:.3} s for {epochs} epochs");
-    // Trainer *stage* wall-clock alone: real model math (loss_and_grad)
-    // summed over all ranks, excluding the simulated sampling/loading
-    // pipeline around it — the number the kernel-overhaul speedup
-    // target is measured against.
-    eprintln!(
-        "[bench_pipeline] trainer compute wall-clock: {:.3} s for {epochs} epochs",
-        ds_gnn::trainer::train_wall_seconds()
-    );
 
     // Recovery lane: a second, smaller system loses rank 1's cache
     // shard and rebuilds it in the background while its epoch runs.

@@ -8,10 +8,11 @@ use ds_comm::Communicator;
 use ds_partition::{MultilevelPartitioner, Partitioner, Renumbering};
 use ds_sampling::baselines::PullDataSampler;
 use ds_sampling::csp::{CspConfig, CspSampler, Scheme};
-use ds_sampling::{BatchSampler, DistGraph, SeedSchedule};
-use ds_simgpu::{Clock, ClusterSpec};
+use ds_sampling::{BatchSampler, DistGraph};
+use ds_simgpu::ClusterSpec;
 use dsp_core::config::TrainConfig;
-use dsp_core::layout::biased_node_weights;
+use dsp_core::layout::{biased_node_weights, colocated_schedules};
+use dsp_core::sampler_only_epoch;
 use std::sync::Arc;
 
 fn main() {
@@ -24,64 +25,43 @@ fn main() {
         let renum = Renumbering::from_partition(&partition);
         let graph = renum.apply_graph(&weighted);
         let dg = Arc::new(DistGraph::from_renumbered(&graph, &renum));
-        let train_new = renum.apply_nodes(&d.train);
-        let mut seeds_per_rank: Vec<Vec<u32>> = vec![Vec::new(); gpus];
-        for v in train_new {
-            seeds_per_rank[renum.owner_of(v) as usize].push(v);
-        }
-        let max_seeds = seeds_per_rank.iter().map(|s| s.len()).max().unwrap();
-        let nb = SeedSchedule::common_batches(max_seeds, cfg.batch_size);
+        let schedules = colocated_schedules(&renum, &d.train, gpus, &cfg);
 
         let mut times = Vec::new();
         for push in [true, false] {
             let cluster = Arc::new(ClusterSpec::v100_scaled(gpus, d.spec.scale).build());
             let comm = Arc::new(Communicator::new(1, Arc::clone(&cluster)));
-            let handles: Vec<_> = (0..gpus)
-                .map(|rank| {
-                    let dg = Arc::clone(&dg);
-                    let cluster = Arc::clone(&cluster);
-                    let comm = Arc::clone(&comm);
-                    let sched = SeedSchedule::new(
-                        seeds_per_rank[rank].clone(),
-                        cfg.batch_size,
-                        nb,
-                        cfg.seed,
-                    );
+            let mut samplers: Vec<Box<dyn BatchSampler + Send>> = (0..gpus)
+                .map(|rank| -> Box<dyn BatchSampler + Send> {
+                    let (dg, cluster, comm) =
+                        (Arc::clone(&dg), Arc::clone(&cluster), Arc::clone(&comm));
                     let fanout = cfg.fanout.clone();
-                    let seed = cfg.seed;
-                    ds_exec::spawn_device(rank, move || {
-                        let mut clock = Clock::new();
-                        let mut sampler: Box<dyn BatchSampler> = if push {
-                            Box::new(CspSampler::new(
-                                dg,
-                                cluster,
-                                comm,
-                                rank,
-                                CspConfig {
-                                    fanout,
-                                    scheme: Scheme::NodeWise,
-                                    biased: true,
-                                    fused: true,
-                                    temporal_cutoff: None,
-                                    seed,
-                                },
-                            ))
-                        } else {
-                            Box::new(PullDataSampler::new(
-                                dg, cluster, comm, rank, fanout, true, seed,
-                            ))
-                        };
-                        for batch in sched.epoch_batches(0) {
-                            let _ = sampler.sample_batch(&mut clock, &batch);
-                        }
-                        clock.now()
-                    })
+                    if push {
+                        Box::new(CspSampler::new(
+                            dg,
+                            cluster,
+                            comm,
+                            rank,
+                            CspConfig {
+                                fanout,
+                                scheme: Scheme::NodeWise,
+                                biased: true,
+                                fused: true,
+                                temporal_cutoff: None,
+                                seed: cfg.seed,
+                            },
+                        ))
+                    } else {
+                        Box::new(PullDataSampler::new(
+                            dg, cluster, comm, rank, fanout, true, cfg.seed,
+                        ))
+                    }
                 })
                 .collect();
-            let t = handles
-                .into_iter()
-                .map(|h| h.join().unwrap())
-                .fold(0.0, f64::max);
+            let samplers = samplers
+                .iter_mut()
+                .map(|s| &mut **s as &mut (dyn BatchSampler + Send));
+            let t = sampler_only_epoch(samplers, &schedules, 0);
             let (nvlink, pcie, _) = cluster.traffic_totals();
             times.push((t, nvlink + pcie));
         }

@@ -11,21 +11,31 @@
 //! | DGL-CPU | CPU (native)              | CPU gather + PCIe copy    |
 //! | PyG     | CPU (Python-assisted)     | CPU gather + PCIe copy    |
 //!
-//! They run their per-batch tasks sequentially (their published
+//! They run on the same rank executor as DSP-Seq
+//! (`executor::run_sequential`): each batch's sample, load and
+//! train steps run back to back on one thread per GPU (their published
 //! implementations overlap far less than DSP's pipeline; the paper
-//! compares against them as-is).
+//! compares against them as-is). Their steps are unsupervised — no
+//! stalls, crashes, heartbeats or retries, so `retried_batches` and
+//! `degraded_ranks` stay 0 (faults still perturb their transfer
+//! timings) — but emit the same `rank`/`sample`/`load`/`train` trace
+//! spans as DSP-Seq.
 
 use crate::config::{SystemKind, TrainConfig};
+use crate::error::DspError;
+use crate::executor::{
+    fold_epoch, on_each_rank, run_sequential, sampler_only_epoch, spanned, train_call,
+};
 use crate::layout::{build_host_layout, HostLayout};
-use crate::stats::{EpochStats, MetricAccumulator};
+use crate::stats::EpochStats;
 use crate::system::{evaluate_model, System};
 use ds_cache::{CpuLoader, FeatureLoader, HostLoader, ReplicatedLoader};
 use ds_comm::Communicator;
 use ds_gnn::Trainer;
-use ds_graph::{Dataset, NodeId};
+use ds_graph::Dataset;
 use ds_sampling::baselines::{CpuSampler, CpuVariant, UvaSampler, UvaVariant};
 use ds_sampling::BatchSampler;
-use ds_simgpu::{Clock, Cluster};
+use ds_simgpu::Cluster;
 use std::sync::Arc;
 
 struct BaselineRank {
@@ -58,43 +68,32 @@ impl BaselineSystem {
         let ranks = (0..gpus)
             .map(|rank| {
                 let sampler: Box<dyn BatchSampler + Send> = match kind {
-                    SystemKind::Quiver => Box::new(UvaSampler::new(
+                    SystemKind::Quiver | SystemKind::DglUva => Box::new(UvaSampler::new(
                         Arc::clone(&layout.graph),
                         Arc::clone(&cluster),
                         rank,
                         cfg.fanout.clone(),
                         cfg.biased,
-                        UvaVariant::Quiver,
+                        if kind == SystemKind::Quiver {
+                            UvaVariant::Quiver
+                        } else {
+                            UvaVariant::DglUva
+                        },
                         cfg.seed,
                     )),
-                    SystemKind::DglUva => Box::new(UvaSampler::new(
-                        Arc::clone(&layout.graph),
-                        Arc::clone(&cluster),
-                        rank,
-                        cfg.fanout.clone(),
-                        cfg.biased,
-                        UvaVariant::DglUva,
-                        cfg.seed,
-                    )),
-                    SystemKind::DglCpu => Box::new(CpuSampler::new(
+                    _ => Box::new(CpuSampler::new(
                         Arc::clone(&layout.graph),
                         Arc::clone(&cluster),
                         rank,
                         gpus,
                         cfg.fanout.clone(),
-                        CpuVariant::DglCpu,
+                        if kind == SystemKind::PyG {
+                            CpuVariant::PyG
+                        } else {
+                            CpuVariant::DglCpu
+                        },
                         cfg.seed,
                     )),
-                    SystemKind::PyG => Box::new(CpuSampler::new(
-                        Arc::clone(&layout.graph),
-                        Arc::clone(&cluster),
-                        rank,
-                        gpus,
-                        cfg.fanout.clone(),
-                        CpuVariant::PyG,
-                        cfg.seed,
-                    )),
-                    _ => unreachable!(),
                 };
                 let loader: Box<dyn FeatureLoader + Send> = match kind {
                     SystemKind::Quiver => Box::new(ReplicatedLoader::new(
@@ -108,16 +107,18 @@ impl BaselineSystem {
                         Arc::clone(&cluster),
                         rank,
                     )),
-                    SystemKind::DglCpu => Box::new(CpuLoader::new(
-                        Arc::clone(&layout.features),
-                        Arc::clone(&cluster),
-                        rank,
-                    )),
-                    SystemKind::PyG => Box::new(
-                        CpuLoader::new(Arc::clone(&layout.features), Arc::clone(&cluster), rank)
-                            .with_gather_efficiency(0.45),
-                    ),
-                    _ => unreachable!(),
+                    _ => {
+                        let cpu = CpuLoader::new(
+                            Arc::clone(&layout.features),
+                            Arc::clone(&cluster),
+                            rank,
+                        );
+                        Box::new(if kind == SystemKind::PyG {
+                            cpu.with_gather_efficiency(0.45)
+                        } else {
+                            cpu
+                        })
+                    }
                 };
                 BaselineRank {
                     sampler,
@@ -153,127 +154,43 @@ impl BaselineSystem {
 
 impl System for BaselineSystem {
     fn run_epoch(&mut self, epoch: u64) -> EpochStats {
+        ds_trace::begin_epoch(epoch);
         self.layout.cluster.reset_traffic();
-        let exec = self.cfg.exec_compute;
-        let labels = Arc::clone(&self.layout.labels);
-        let batches: Vec<Vec<Vec<NodeId>>> = self
-            .layout
-            .schedules
-            .iter()
-            .map(|s| s.epoch_batches(epoch))
-            .collect();
-        let num_batches = batches.first().map(|b| b.len()).unwrap_or(0);
-        struct RankOut {
-            sample_busy: f64,
-            load_busy: f64,
-            train_busy: f64,
-            useful: f64,
-            makespan: f64,
-            metrics: MetricAccumulator,
-        }
-        let results: Vec<RankOut> = std::thread::scope(|scope| {
-            let handles: Vec<_> = self
-                .ranks
-                .iter_mut()
-                .zip(batches)
-                .enumerate()
-                .map(|(rank, (state, rank_batches))| {
-                    let labels = Arc::clone(&labels);
-                    ds_exec::spawn_scoped_named(scope, format!("dev-{rank}"), move || {
-                        let mut clock = Clock::new();
-                        let mut metrics = MetricAccumulator::default();
-                        let (mut sb, mut lb, mut tb) = (0.0, 0.0, 0.0);
-                        for seeds in &rank_batches {
-                            let b0 = clock.busy();
-                            let sample = state.sampler.sample_batch(&mut clock, seeds);
-                            let b1 = clock.busy();
-                            let feats = state.loader.load(&mut clock, sample.input_nodes());
-                            let b2 = clock.busy();
-                            let r = if exec {
-                                let lab: Vec<u32> =
-                                    sample.seeds.iter().map(|&v| labels.get(v)).collect();
-                                state.trainer.train_batch(&mut clock, &sample, &feats, &lab)
-                            } else {
-                                state.trainer.train_batch_timing_only(&mut clock, &sample)
-                            };
-                            let b3 = clock.busy();
-                            sb += b1 - b0;
-                            lb += b2 - b1;
-                            tb += b3 - b2;
-                            metrics.add(r.loss, r.accuracy, r.seeds);
-                        }
-                        RankOut {
-                            sample_busy: sb,
-                            load_busy: lb,
-                            train_busy: tb,
-                            useful: clock.device_useful(),
-                            makespan: clock.now(),
-                            metrics,
-                        }
+        let labels = self.cfg.exec_compute.then_some(&*self.layout.labels);
+        let schedules = &self.layout.schedules;
+        let num_batches = schedules.first().map_or(0, |s| s.num_batches());
+        let results = on_each_rank(&mut self.ranks, |rank, state| {
+            let BaselineRank {
+                sampler,
+                loader,
+                trainer,
+            } = state;
+            run_sequential(
+                rank,
+                &schedules[rank].epoch_batches(epoch),
+                |c, b, seeds| spanned(c, "sample", b, |c| Ok(sampler.sample_batch(c, seeds))),
+                |c, b, s| {
+                    spanned(c, "load", b, |c| {
+                        Ok((loader.load(c, s.input_nodes()), None))
                     })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("rank thread panicked"))
-                .collect()
+                },
+                |c, b, s, feats, _| {
+                    spanned(c, "train", b, |c| {
+                        train_call(trainer, c, s, feats, None, labels).map_err(DspError::Comm)
+                    })
+                },
+            )
         });
-        let mut metrics = MetricAccumulator::default();
-        for r in &results {
-            metrics.merge(&r.metrics);
-        }
-        let (loss, accuracy, seeds) = metrics.finish();
-        let (nvlink, pcie, _) = self.layout.cluster.traffic_totals();
-        let fmax = |f: fn(&RankOut) -> f64| results.iter().map(f).fold(0.0, f64::max);
-        EpochStats {
-            epoch_time: fmax(|r| r.makespan),
-            sample_time: fmax(|r| r.sample_busy),
-            load_time: fmax(|r| r.load_busy),
-            train_time: fmax(|r| r.train_busy),
-            utilization: results
-                .iter()
-                .map(|r| (r.useful / r.makespan.max(1e-12)).min(1.0))
-                .sum::<f64>()
-                / results.len().max(1) as f64,
-            loss,
-            accuracy,
-            nvlink_bytes: nvlink,
-            pcie_bytes: pcie,
-            num_batches,
-            seeds,
-            // Baselines run unsupervised: no retry or degradation
-            // machinery (faults still perturb their transfer timings).
-            retried_batches: 0,
-            degraded_ranks: 0,
-        }
+        fold_epoch(results, &self.layout.cluster, num_batches)
+            .unwrap_or_else(|e| panic!("epoch {epoch} failed: {e}"))
     }
 
     fn run_sampler_epoch(&mut self, epoch: u64) -> f64 {
-        let batches: Vec<Vec<Vec<NodeId>>> = self
-            .layout
-            .schedules
-            .iter()
-            .map(|s| s.epoch_batches(epoch))
-            .collect();
-        let times: Vec<f64> = std::thread::scope(|scope| {
-            let handles: Vec<_> = self
-                .ranks
-                .iter_mut()
-                .zip(batches)
-                .enumerate()
-                .map(|(rank, (state, rank_batches))| {
-                    ds_exec::spawn_scoped_named(scope, format!("dev-{rank}"), move || {
-                        let mut clock = Clock::new();
-                        for seeds in &rank_batches {
-                            let _ = state.sampler.sample_batch(&mut clock, seeds);
-                        }
-                        clock.now()
-                    })
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().unwrap()).collect()
-        });
-        times.into_iter().fold(0.0, f64::max)
+        let samplers = self
+            .ranks
+            .iter_mut()
+            .map(|r| &mut *r.sampler as &mut (dyn BatchSampler + Send));
+        sampler_only_epoch(samplers, &self.layout.schedules, epoch)
     }
 
     fn evaluate_validation(&mut self) -> f64 {

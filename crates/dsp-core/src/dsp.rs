@@ -1,24 +1,37 @@
 //! The DSP system (§3–§5): CSP sampler + two-path loader + BSP trainer
-//! per GPU, connected by bounded producer-consumer queues, with
-//! communication-kernel launches coordinated through CCC.
+//! per GPU, with communication-kernel launches coordinated through CCC.
 //!
-//! `DspSystem` also implements **DSP-Seq** (pipeline disabled): the same
-//! workers run back-to-back inside one thread per GPU — the Fig. 6 /
-//! Fig. 12 ablation.
+//! Each rank trains a mini-batch in three supervised steps, methods on
+//! `RankCtx`: the **sample** step (scheduled rejoins, injected stall and
+//! crash, heartbeat, then CSP sampling), the **load** step (stall,
+//! crash, heartbeat, shard-rebuild tracking, then the two-path feature
+//! load — or split mode's owned-row load plus partial-aggregate
+//! exchange) and the **train** step (stall, crash, heartbeat, the BSP
+//! training call, then the checkpoint cadence). DSP composes them as a
+//! pipeline: each step on its own worker thread, linked by bounded
+//! producer-consumer queues, plus an epoch-ahead prefetch thread.
+//! **DSP-Seq** (pipeline disabled, the Fig. 6 / Fig. 12 ablation) runs
+//! the very same steps back to back on one thread per GPU through
+//! `executor::run_sequential`, the composition the baselines
+//! use too.
 //!
-//! Every worker loop is *supervised*: it heartbeats at batch
-//! boundaries, consults the cluster's fault hook for injected stalls
-//! and crashes, and routes failures through the [`Supervisor`]'s
-//! bounded-retry policy. Two failures degrade instead of failing the
-//! epoch: a dead sampler peer (survivors and the crashed rank's
-//! replacement fall back to degraded local pull-path sampling, which
-//! reproduces the exact same samples because the sampling RNG is keyed
-//! on `(seed, batch, layer, node)`) and a lost cache shard (requests
-//! against it miss and fall back to UVA cold fetches inside the
-//! loader). Everything else terminates with a typed [`DspError`].
+//! The steps are *supervised*: they heartbeat at batch boundaries,
+//! consult the cluster's fault hook for injected stalls and crashes,
+//! and route failures through the [`Supervisor`]'s bounded-retry
+//! policy. Two failures degrade instead of failing the epoch: a dead
+//! sampler peer (survivors and the crashed rank's replacement fall back
+//! to degraded local pull-path sampling, which reproduces the exact
+//! same samples because the sampling RNG is keyed on `(seed, batch,
+//! layer, node)`) and a lost cache shard (requests against it miss and
+//! fall back to UVA cold fetches inside the loader). Everything else
+//! terminates with a typed [`DspError`].
 
 use crate::config::{TrainConfig, TrainMode};
 use crate::error::DspError;
+use crate::executor::{
+    fold_epoch, on_each_rank, pick_error, run_sequential, sampler_only_epoch, spanned, train_call,
+    worker, Loaded, RankEpoch,
+};
 use crate::layout::{build_dsp_layout, DspLayout};
 use crate::prefetch::Prefetcher;
 use crate::split::SplitExchange;
@@ -27,11 +40,10 @@ use crate::supervisor::{FaultReport, RetryPolicy, Supervisor};
 use crate::system::{evaluate_model, System};
 use ds_cache::{DspLoader, DynamicPolicyKind, FeatureLoader, PrefetchedWindow, RebuildStatus};
 use ds_comm::{CommConfig, CommError, Communicator, Coordinator, DeviceSlots};
-use ds_gnn::{GnnKind, Trainer};
+use ds_gnn::{BatchResult, GnnKind, Trainer};
 use ds_graph::{Dataset, Labels, NodeId};
-use ds_pipeline::queue::virtual_queue_labeled;
+use ds_pipeline::queue::{virtual_queue_labeled, QueueConsumer};
 use ds_sampling::csp::{CspConfig, CspSampler};
-use ds_sampling::sample::SampleLayer;
 use ds_sampling::shadow::shadow_batch;
 use ds_sampling::{BatchSampler, GraphSample};
 use ds_simgpu::{Clock, Cluster, WorkerKind};
@@ -58,43 +70,24 @@ struct RankState {
     exchange: Option<SplitExchange>,
 }
 
-/// Per-rank epoch measurement.
-struct RankEpoch {
-    sample_busy: f64,
-    load_busy: f64,
-    train_busy: f64,
-    /// Occupancy-weighted device-useful seconds (Fig. 6's metric).
-    useful: f64,
-    makespan: f64,
-    metrics: MetricAccumulator,
-}
-
-/// Checkpoint cadence for one epoch run (rank 0's trainer writes).
-#[derive(Clone)]
-struct CkptCfg {
-    /// Snapshot every this many completed *global* batches.
-    every: u64,
-    /// Snapshot directory.
-    dir: std::path::PathBuf,
-    /// Experiment seed, recorded in every snapshot.
-    seed: u64,
+/// One rank's view of an epoch run, and the home of its three
+/// supervised steps: everything a step needs besides the rank's own
+/// components — fault hooks, the communicators (for declaring deaths),
+/// the CCC coordinator (for unwedging launch queues) and the supervisor.
+struct RankCtx<'a> {
+    rank: usize,
+    cfg: &'a TrainConfig,
+    /// Epoch this run is executing (recorded in checkpoints).
+    epoch: u64,
     /// Batches of this epoch already complete before this run (the
     /// resume offset of `try_run_epoch_from`).
     start: u64,
-    /// GPU count — the cursor vector's length.
-    num_ranks: usize,
-}
-
-/// Everything a supervised worker loop needs besides its own pipeline
-/// stage: fault hooks, the communicators (for declaring deaths), the
-/// CCC coordinator (for unwedging launch queues) and the supervisor.
-struct RankCtx {
-    rank: usize,
-    exec: bool,
-    /// Experiment seed — keys the deterministic retry-backoff jitter.
-    seed: u64,
-    /// Epoch this run is executing (recorded in checkpoints).
-    epoch: u64,
+    /// Global batch index of this run's first batch: the prefetcher
+    /// keys its shadow replay on it, the loader checks staged windows
+    /// against it and checkpoints count completed batches from it.
+    base: u64,
+    /// Batches this rank runs this epoch.
+    total: u64,
     labels: Arc<Labels>,
     cluster: Arc<Cluster>,
     sampler_comm: Arc<Communicator>,
@@ -104,11 +97,9 @@ struct RankCtx {
     exchange_comm: Option<Arc<Communicator>>,
     ccc: Option<Arc<Coordinator>>,
     sup: Arc<Supervisor>,
-    /// `Some` when checkpointing is on (`ckpt_every > 0`).
-    ckpt: Option<CkptCfg>,
 }
 
-impl RankCtx {
+impl RankCtx<'_> {
     fn comm_for(&self, worker: WorkerKind) -> &Communicator {
         match worker {
             WorkerKind::Sampler => &self.sampler_comm,
@@ -147,14 +138,15 @@ impl RankCtx {
     /// epoch. Permanent crashes stay event-driven — no round after the
     /// death ever completes, so every survivor is flushed out of its
     /// in-flight round regardless of timing.
-    fn peer_sampler_crash_window(&self, batch: u64, total: u64) -> bool {
+    fn peer_sampler_crash_window(&self, batch: u64) -> bool {
         let Some(h) = self.cluster.fault_hook() else {
             return false;
         };
         (0..self.sampler_comm.num_ranks()).any(|peer| {
             peer != self.rank
                 && h.worker_crashes(peer, WorkerKind::Sampler, batch)
-                && ((batch + 1)..total).any(|r| h.worker_recovers(peer, WorkerKind::Sampler, r))
+                && ((batch + 1)..self.total)
+                    .any(|r| h.worker_recovers(peer, WorkerKind::Sampler, r))
         })
     }
 
@@ -206,15 +198,18 @@ impl RankCtx {
         }
     }
 
-    /// Charges the policy's exponential backoff before retry `attempt`
-    /// of `batch`, with deterministic per-(rank, batch, attempt) jitter
-    /// so peers that fail together do not retry in lockstep.
-    fn backoff(&self, clock: &mut Clock, batch: u64, attempt: u32) {
+    /// Records a retry of `batch` and charges the policy's exponential
+    /// backoff before retry `attempt`, with deterministic
+    /// per-(rank, batch, attempt) jitter so peers that fail together do
+    /// not retry in lockstep.
+    fn retry(&self, clock: &mut Clock, batch: u64, attempt: u32) {
+        self.sup.record_retry(self.rank, batch);
+        ds_trace::instant(clock.now(), "retry", batch);
         let t = clock.now()
             + self
                 .sup
                 .policy
-                .jittered_backoff(self.seed, self.rank, batch, attempt);
+                .jittered_backoff(self.cfg.seed, self.rank, batch, attempt);
         clock.wait_until(t);
     }
 
@@ -298,29 +293,27 @@ impl RankCtx {
         &self,
         trainer: &Trainer,
         clock: &Clock,
-        base: u64,
         batch: u64,
     ) -> Result<(), DspError> {
-        let Some(ck) = &self.ckpt else {
-            return Ok(());
-        };
-        let done = base + batch + 1;
-        if self.rank != 0 || done % ck.every != 0 {
+        let every = self.cfg.ckpt_every;
+        let done = self.base + batch + 1;
+        if every == 0 || self.rank != 0 || !done.is_multiple_of(every) {
             return Ok(());
         }
         let (params, adam_t, adam_m, adam_v) = trainer.checkpoint_state();
+        let seed = self.cfg.seed;
         let snapshot = ds_store::Checkpoint {
-            seed: ck.seed,
+            seed,
             epoch: self.epoch,
-            batch_in_epoch: ck.start + batch + 1,
-            cursors: vec![done; ck.num_ranks],
-            rng: ds_rng::Rng::seed_from_u64(ck.seed).state(),
+            batch_in_epoch: self.start + batch + 1,
+            cursors: vec![done; self.trainer_comm.num_ranks()],
+            rng: ds_rng::Rng::seed_from_u64(seed).state(),
             params,
             adam_t,
             adam_m,
             adam_v,
         };
-        match snapshot.save(&ck.dir) {
+        match snapshot.save(&self.cfg.ckpt_dir) {
             Ok(_) => {
                 ds_trace::instant(clock.now(), "ckpt", done);
                 ds_trace::counter(clock.now(), "recovery", "ckpt_writes", 1.0);
@@ -382,155 +375,199 @@ fn supervised_sample(
                         last: e,
                     });
                 }
-                ctx.sup.record_retry(ctx.rank, batch);
-                ds_trace::instant(clock.now(), "retry", batch);
-                ctx.backoff(clock, batch, attempts);
+                ctx.retry(clock, batch, attempts);
             }
         }
     }
 }
 
-/// Supervised feature load. Features live on the peers, so a dead
-/// loader peer has no degradation path — only timeouts are retried.
-/// (A *lost cache shard* is handled below this level: the loader's
-/// lookups miss and fall back to UVA cold fetches.)
-fn supervised_load(
-    loader: &mut DspLoader,
-    clock: &mut Clock,
-    nodes: &[NodeId],
-    window: Option<&PrefetchedWindow>,
-    batch: u64,
-    ctx: &RankCtx,
-) -> Result<Matrix, DspError> {
-    let mut attempts = 0u32;
-    loop {
-        match loader.try_load_windowed(clock, nodes, window, batch) {
-            Ok(feats) => return Ok(feats),
-            Err(e @ CommError::Timeout(_)) => {
-                attempts += 1;
-                if attempts > ctx.sup.policy.max_retries {
-                    return Err(DspError::RetriesExhausted {
-                        rank: ctx.rank,
-                        worker: WorkerKind::Loader,
-                        batch,
-                        attempts,
-                        last: e,
-                    });
-                }
-                ctx.sup.record_retry(ctx.rank, batch);
-                ds_trace::instant(clock.now(), "retry", batch);
-                ctx.backoff(clock, batch, attempts);
-            }
-            Err(e) => return Err(DspError::Comm(e)),
+/// The three per-batch steps. Each runs its worker's batch prologue
+/// (scheduled events, injected stall and crash, heartbeat) and then the
+/// supervised work inside the worker's span. Both compositions — the
+/// pipelined one below and [`run_sequential`] for DSP-Seq — call them
+/// unchanged.
+impl RankCtx<'_> {
+    /// The sample step. `crashed` is the sampler's crash edge detector,
+    /// carried across the epoch's batches.
+    fn sample_step(
+        &self,
+        sampler: &mut CspSampler,
+        clock: &mut Clock,
+        b: u64,
+        seeds: &[NodeId],
+        crashed: &mut bool,
+    ) -> Result<GraphSample, DspError> {
+        // Scheduled rejoins land before this batch's own collective:
+        // the group is restored between rounds and the crash edge
+        // detector re-arms so a flapping peer can die again at a later
+        // batch.
+        if self.sampler_recoveries(sampler, clock, b) {
+            *crashed = false;
         }
-    }
-}
-
-/// Supervised partial-aggregate exchange (split mode, loader stage).
-/// The exchange is a pair of all-to-alls, so like the loader's own
-/// collectives only timeouts are retried; the retry is safe because the
-/// exchange mutates no trainer state — a replayed round recomputes the
-/// same partial sums. Failures are attributed to the loader worker:
-/// that is the pipeline stage a wedged exchange actually stalls.
-fn supervised_exchange(
-    exchange: &SplitExchange,
-    clock: &mut Clock,
-    block: &SampleLayer,
-    dst_feats: &Matrix,
-    batch: u64,
-    ctx: &RankCtx,
-) -> Result<Matrix, DspError> {
-    let mut attempts = 0u32;
-    loop {
-        match exchange.try_exchange(clock, block, dst_feats) {
-            Ok(agg) => return Ok(agg),
-            Err(e @ CommError::Timeout(_)) => {
-                attempts += 1;
-                if attempts > ctx.sup.policy.max_retries {
-                    return Err(DspError::RetriesExhausted {
-                        rank: ctx.rank,
-                        worker: WorkerKind::Loader,
-                        batch,
-                        attempts,
-                        last: e,
-                    });
-                }
-                ctx.sup.record_retry(ctx.rank, batch);
-                ds_trace::instant(clock.now(), "retry", batch);
-                ctx.backoff(clock, batch, attempts);
-            }
-            Err(e) => return Err(DspError::Comm(e)),
+        self.stall(clock, WorkerKind::Sampler, b);
+        if !*crashed && self.crashes(WorkerKind::Sampler, b) {
+            // The sampler dies; the supervisor stands up a degraded
+            // replacement on this rank and tells the peers, who degrade
+            // too and retry their in-flight batch (bit-identical by RNG
+            // keying).
+            *crashed = true;
+            ds_trace::instant(clock.now(), "crash", b);
+            self.declare_dead(WorkerKind::Sampler, b);
+            self.degrade_sampler(sampler);
         }
+        if self.peer_sampler_crash_window(b) {
+            // A peer dies here but is scheduled back: leave the
+            // collective group at the same batch it does, so both sides
+            // skip the same rounds and the pairing survives the rejoin.
+            self.degrade_sampler(sampler);
+        }
+        self.sup
+            .heartbeat(self.rank, WorkerKind::Sampler, b, clock.now());
+        spanned(clock, "sample", b, |c| {
+            supervised_sample(sampler, c, seeds, b, self)
+        })
     }
-}
 
-/// Supervised training step. The gradient allreduce fails *before* the
-/// optimizer step, so a retried batch never double-applies gradients.
-/// BSP lockstep cannot survive a dead trainer peer, so only timeouts
-/// are retried. `agg` carries split mode's pre-combined innermost
-/// aggregate; `None` selects the data-parallel path.
-fn supervised_train(
-    trainer: &mut Trainer,
-    clock: &mut Clock,
-    sample: &GraphSample,
-    feats: &Matrix,
-    agg: Option<&Matrix>,
-    batch: u64,
-    ctx: &RankCtx,
-) -> Result<ds_gnn::BatchResult, DspError> {
-    let mut attempts = 0u32;
-    loop {
-        let r = match (ctx.exec, agg) {
-            (true, Some(agg)) => {
-                let lab: Vec<u32> = sample.seeds.iter().map(|&v| ctx.labels.get(v)).collect();
-                trainer.try_train_batch_split(clock, sample, feats, agg, &lab)
-            }
-            (true, None) => {
-                let lab: Vec<u32> = sample.seeds.iter().map(|&v| ctx.labels.get(v)).collect();
-                trainer.try_train_batch(clock, sample, feats, &lab)
-            }
-            (false, Some(_)) => trainer.try_train_batch_timing_only_split(clock, sample),
-            (false, None) => trainer.try_train_batch_timing_only(clock, sample),
+    /// The load step. `prefetched` is the loader's end of the prefetch
+    /// queue (pipelined mode with a prefetcher only). Features live on
+    /// the peers, so a dead loader peer has no degradation path. A lost
+    /// cache shard is handled below this level: its lookups miss and
+    /// fall back to UVA cold fetches.
+    fn load_step(
+        &self,
+        loader: &mut DspLoader,
+        exchange: Option<&SplitExchange>,
+        clock: &mut Clock,
+        b: u64,
+        sample: &GraphSample,
+        prefetched: Option<&mut QueueConsumer<PrefetchedWindow>>,
+    ) -> Result<Loaded, DspError> {
+        self.enter(clock, WorkerKind::Loader, b)?;
+        self.track_rebuild(loader, clock, b);
+        // A dead prefetcher (or a misaligned window) is never fatal:
+        // `None` simply means every cold row goes over the demand UVA
+        // path, as without prefetching.
+        let window = prefetched
+            .and_then(|rx| rx.pop(clock))
+            .filter(|w| w.batch() == self.base + b);
+        let loaded = if let Some(ex) = exchange {
+            // Split mode: load only this rank's dst rows, then run the
+            // partial-aggregate exchange for the innermost convolution.
+            // Load first on every rank so the loader and exchange
+            // groups interleave their launches in the same order
+            // everywhere (CCC's launch-order invariant). A retried
+            // exchange is safe because it mutates no trainer state;
+            // its failures blame the loader, the stage a wedged
+            // exchange stalls.
+            let block = sample.layers.last().expect("sample has layers");
+            let feats = spanned(clock, "load", b, |c| {
+                self.retrying(c, WorkerKind::Loader, b, |c| {
+                    loader.try_load_windowed(c, &block.dst, None, b)
+                })
+            })?;
+            let agg = spanned(clock, "exchange", b, |c| {
+                self.retrying(c, WorkerKind::Loader, b, |c| {
+                    ex.try_exchange(c, block, &feats)
+                })
+            })?;
+            (feats, Some(agg))
+        } else {
+            let feats = spanned(clock, "load", b, |c| {
+                self.retrying(c, WorkerKind::Loader, b, |c| {
+                    loader.try_load_windowed(c, sample.input_nodes(), window.as_ref(), b)
+                })
+            })?;
+            (feats, None)
         };
-        match r {
-            Ok(result) => return Ok(result),
-            Err(e @ CommError::Timeout(_)) => {
-                attempts += 1;
-                if attempts > ctx.sup.policy.max_retries {
-                    return Err(DspError::RetriesExhausted {
-                        rank: ctx.rank,
-                        worker: WorkerKind::Trainer,
-                        batch,
-                        attempts,
-                        last: e,
-                    });
+        if loader.take_window_dropped() {
+            self.sup.record_dropped_window(self.rank, self.base + b);
+        }
+        Ok(loaded)
+    }
+
+    /// The train step. The gradient allreduce fails *before* the
+    /// optimizer step, so a retried batch never double-applies
+    /// gradients; BSP lockstep cannot survive a dead trainer peer.
+    fn train_step(
+        &self,
+        trainer: &mut Trainer,
+        clock: &mut Clock,
+        b: u64,
+        sample: &GraphSample,
+        feats: &Matrix,
+        agg: Option<&Matrix>,
+    ) -> Result<BatchResult, DspError> {
+        self.enter(clock, WorkerKind::Trainer, b)?;
+        let labels = self.cfg.exec_compute.then_some(&*self.labels);
+        let r = spanned(clock, "train", b, |c| {
+            self.retrying(c, WorkerKind::Trainer, b, |c| {
+                train_call(trainer, c, sample, feats, agg, labels)
+            })
+        })?;
+        // The optimizer step for global batch base+b is done and BSP
+        // left every replica equal: the only safe snapshot boundary.
+        self.maybe_checkpoint(trainer, clock, b)?;
+        Ok(r)
+    }
+
+    /// The loader's and trainer's batch prologue: injected stall,
+    /// crash, heartbeat. These workers have no replacement, so a crash
+    /// ends the epoch with a typed error.
+    fn enter(&self, clock: &mut Clock, worker: WorkerKind, b: u64) -> Result<(), DspError> {
+        self.stall(clock, worker, b);
+        if self.crashes(worker, b) {
+            ds_trace::instant(clock.now(), "crash", b);
+            self.declare_dead(worker, b);
+            return Err(DspError::WorkerCrashed {
+                rank: self.rank,
+                worker,
+                batch: b,
+            });
+        }
+        self.sup.heartbeat(self.rank, worker, b, clock.now());
+        Ok(())
+    }
+
+    /// Runs a collective operation under the retry policy: timeouts may
+    /// be transient and are retried with backoff, blaming `worker` once
+    /// the budget runs out; any other failure is final. Sampling has
+    /// its own loop because it also degrades and heals.
+    fn retrying<T>(
+        &self,
+        clock: &mut Clock,
+        worker: WorkerKind,
+        batch: u64,
+        mut op: impl FnMut(&mut Clock) -> Result<T, CommError>,
+    ) -> Result<T, DspError> {
+        let mut attempts = 0u32;
+        loop {
+            match op(clock) {
+                Ok(v) => return Ok(v),
+                Err(e @ CommError::Timeout(_)) => {
+                    attempts += 1;
+                    if attempts > self.sup.policy.max_retries {
+                        return Err(DspError::RetriesExhausted {
+                            rank: self.rank,
+                            worker,
+                            batch,
+                            attempts,
+                            last: e,
+                        });
+                    }
+                    self.retry(clock, batch, attempts);
                 }
-                ctx.sup.record_retry(ctx.rank, batch);
-                ds_trace::instant(clock.now(), "retry", batch);
-                ctx.backoff(clock, batch, attempts);
+                Err(e) => return Err(DspError::Comm(e)),
             }
-            Err(e) => return Err(DspError::Comm(e)),
         }
     }
 }
 
-/// Ranks errors by how much they explain: a crash is the root cause, an
-/// exhausted retry budget is a consequence, a bare comm error is
-/// usually collateral from a peer's failure.
-fn pick_error(errs: Vec<DspError>) -> Option<DspError> {
-    errs.into_iter().min_by_key(|e| match e {
-        DspError::WorkerCrashed { .. } => 0u8,
-        DspError::Checkpoint { .. } => 1,
-        DspError::RetriesExhausted { .. } => 2,
-        DspError::Comm(_) => 3,
-    })
-}
-
+/// The pipelined composition: each step on its own worker thread,
+/// linked by the bounded `q.sample` and `q.feat` queues, plus the
+/// prefetch thread feeding the loader through `q.prefetch`.
 fn run_rank_pipelined(
     state: &mut RankState,
-    batches: Vec<Vec<NodeId>>,
-    cap: usize,
-    pf_window: usize,
+    batches: &[Vec<NodeId>],
     ctx: &RankCtx,
 ) -> Result<RankEpoch, DspError> {
     let RankState {
@@ -541,227 +578,98 @@ fn run_rank_pipelined(
         exchange,
     } = state;
     let exchange = exchange.as_ref();
+    let cap = ctx.cfg.queue_capacity;
     let (mut sample_tx, mut sample_rx) = virtual_queue_labeled::<GraphSample>(cap, "q.sample");
     // Split mode's loader stage also carries the combined innermost
     // aggregate to the trainer (`None` under data-parallel).
-    let (mut feat_tx, mut feat_rx) =
-        virtual_queue_labeled::<(GraphSample, Matrix, Option<Matrix>)>(cap, "q.feat");
-    // Global batch index of this epoch's first batch: the prefetcher
-    // keys its shadow replay on it, and the loader uses it to check
-    // that a staged window really is for the batch in hand.
-    let base = sampler.next_batch_index();
-    let run_pf = prefetcher.is_some() && pf_window > 0;
-    // The prefetcher replays the same seed schedule the sampler
-    // consumes, a bounded `pf_window` batches ahead.
-    let pf_batches: Vec<Vec<NodeId>> = if run_pf { batches.clone() } else { Vec::new() };
-    let (pf_tx, pf_rx) = if run_pf {
-        let (tx, rx) = virtual_queue_labeled::<PrefetchedWindow>(pf_window, "q.prefetch");
-        (Some(tx), Some(rx))
-    } else {
-        (None, None)
+    let (mut feat_tx, mut feat_rx) = virtual_queue_labeled::<(GraphSample, Loaded)>(cap, "q.feat");
+    // The prefetcher (built only with a non-zero window) replays the
+    // same seed schedule the sampler consumes, a bounded window ahead.
+    let (pf_tx, mut pf_rx) = match prefetcher.as_ref() {
+        Some(pf) => {
+            let window = ctx.cfg.prefetch_window;
+            let (tx, rx) = virtual_queue_labeled::<PrefetchedWindow>(window, "q.prefetch");
+            (Some((pf, tx)), Some(rx))
+        }
+        None => (None, None),
     };
-    let mut pf_rx = pf_rx;
-    let rank = ctx.rank as u32;
+    let rank = ctx.rank;
     std::thread::scope(|s| {
-        let prefetch_thread = pf_tx.map(|mut pf_tx| {
-            let pf = prefetcher
-                .as_ref()
-                .expect("prefetcher present when queue is");
-            ds_exec::spawn_scoped_named(s, format!("dev-{rank}-prefetch"), move || -> Clock {
-                let _trace = ds_trace::worker(rank, ds_trace::TID_PREFETCH);
-                let mut clock = Clock::new();
-                ds_trace::span_begin(clock.now(), "prefetcher");
-                for (i, seeds) in pf_batches.iter().enumerate() {
-                    let b = base + i as u64;
-                    ds_trace::span_begin_arg(clock.now(), "prefetch", b);
-                    let w = pf.fetch_window(&mut clock, b, seeds);
-                    ds_trace::span_end(clock.now());
-                    if pf_tx.push(&mut clock, w).is_err() {
-                        // The loader died; its own error is the story.
-                        break;
+        let prefetch_thread = pf_tx.map(|(pf, mut pf_tx)| {
+            ds_exec::spawn_scoped_named(s, format!("dev-{rank}-prefetch"), move || {
+                worker(rank, ds_trace::TID_PREFETCH, "prefetcher", |clock| {
+                    for (i, seeds) in batches.iter().enumerate() {
+                        let b = ctx.base + i as u64;
+                        let w =
+                            spanned(clock, "prefetch", b, |c| Ok(pf.fetch_window(c, b, seeds)))?;
+                        if pf_tx.push(clock, w).is_err() {
+                            // The loader died; its own error is the story.
+                            break;
+                        }
                     }
-                }
-                ds_trace::span_end(clock.now());
-                clock
+                    Ok(())
+                })
             })
         });
-        let sampler_thread = ds_exec::spawn_scoped_named(
-            s,
-            format!("dev-{rank}-sampler"),
-            move || -> Result<Clock, DspError> {
-                let _trace = ds_trace::worker(rank, ds_trace::TID_SAMPLER);
-                let mut clock = Clock::new();
-                ds_trace::span_begin(clock.now(), "sampler");
-                let mut crashed = false;
-                let mut batch = 0usize;
-                while batch < batches.len() {
-                    let b = batch as u64;
-                    // Scheduled rejoins land before this batch's own
-                    // collective: the group is restored between rounds
-                    // and the crash edge detector re-arms so a flapping
-                    // peer can die again at a later batch.
-                    if ctx.sampler_recoveries(sampler, &clock, b) {
-                        crashed = false;
+        let sampler_thread =
+            ds_exec::spawn_scoped_named(s, format!("dev-{rank}-sampler"), move || {
+                worker(rank, ds_trace::TID_SAMPLER, "sampler", |clock| {
+                    let mut crashed = false;
+                    for (b, seeds) in batches.iter().enumerate() {
+                        let sample =
+                            ctx.sample_step(sampler, clock, b as u64, seeds, &mut crashed)?;
+                        if sample_tx.push(clock, sample).is_err() {
+                            // Downstream died; its own error is the story.
+                            break;
+                        }
                     }
-                    ctx.stall(&mut clock, WorkerKind::Sampler, b);
-                    if !crashed && ctx.crashes(WorkerKind::Sampler, b) {
-                        // The sampler dies; the supervisor stands up a
-                        // degraded replacement on this rank and tells the
-                        // peers, who degrade too and retry their in-flight
-                        // batch (bit-identical by RNG keying).
-                        crashed = true;
-                        ds_trace::instant(clock.now(), "crash", b);
-                        ctx.declare_dead(WorkerKind::Sampler, b);
-                        ctx.degrade_sampler(sampler);
+                    Ok(())
+                })
+            });
+        let loader_thread =
+            ds_exec::spawn_scoped_named(s, format!("dev-{rank}-loader"), move || {
+                worker(rank, ds_trace::TID_LOADER, "loader", |clock| {
+                    let mut b = 0u64;
+                    while let Some(sample) = sample_rx.pop(clock) {
+                        let loaded =
+                            ctx.load_step(loader, exchange, clock, b, &sample, pf_rx.as_mut())?;
+                        if feat_tx.push(clock, (sample, loaded)).is_err() {
+                            break;
+                        }
+                        b += 1;
                     }
-                    if ctx.peer_sampler_crash_window(b, batches.len() as u64) {
-                        // A peer dies here but is scheduled back: leave
-                        // the collective group at the same batch it
-                        // does, so both sides skip the same rounds and
-                        // the pairing survives the rejoin.
-                        ctx.degrade_sampler(sampler);
+                    Ok(())
+                })
+            });
+        let trainer_thread =
+            ds_exec::spawn_scoped_named(s, format!("dev-{rank}-trainer"), move || {
+                worker(rank, ds_trace::TID_TRAINER, "trainer", |clock| {
+                    let mut metrics = MetricAccumulator::default();
+                    let mut b = 0u64;
+                    while let Some((sample, (feats, agg))) = feat_rx.pop(clock) {
+                        let r = ctx.train_step(trainer, clock, b, &sample, &feats, agg.as_ref())?;
+                        metrics.add(r.loss, r.accuracy, r.seeds);
+                        b += 1;
                     }
-                    ctx.sup
-                        .heartbeat(ctx.rank, WorkerKind::Sampler, b, clock.now());
-                    ds_trace::span_begin_arg(clock.now(), "sample", b);
-                    let sample = supervised_sample(sampler, &mut clock, &batches[batch], b, ctx)?;
-                    ds_trace::span_end(clock.now());
-                    if sample_tx.push(&mut clock, sample).is_err() {
-                        // Downstream died; its own error is the story.
-                        break;
-                    }
-                    batch += 1;
-                }
-                ds_trace::span_end(clock.now());
-                Ok(clock)
-            },
-        );
-        let loader_thread = ds_exec::spawn_scoped_named(
-            s,
-            format!("dev-{rank}-loader"),
-            move || -> Result<Clock, DspError> {
-                let _trace = ds_trace::worker(rank, ds_trace::TID_LOADER);
-                let mut clock = Clock::new();
-                ds_trace::span_begin(clock.now(), "loader");
-                let mut b = 0u64;
-                while let Some(sample) = sample_rx.pop(&mut clock) {
-                    ctx.stall(&mut clock, WorkerKind::Loader, b);
-                    if ctx.crashes(WorkerKind::Loader, b) {
-                        ds_trace::instant(clock.now(), "crash", b);
-                        ctx.declare_dead(WorkerKind::Loader, b);
-                        return Err(DspError::WorkerCrashed {
-                            rank: ctx.rank,
-                            worker: WorkerKind::Loader,
-                            batch: b,
-                        });
-                    }
-                    ctx.sup
-                        .heartbeat(ctx.rank, WorkerKind::Loader, b, clock.now());
-                    ctx.track_rebuild(loader, &clock, b);
-                    // A dead prefetcher (or a misaligned window) is never
-                    // fatal: `None` simply means every cold row goes over
-                    // the demand UVA path, as without prefetching.
-                    let window = pf_rx
-                        .as_mut()
-                        .and_then(|rx| rx.pop(&mut clock))
-                        .filter(|w| w.batch() == base + b);
-                    let (feats, agg) = if let Some(ex) = exchange {
-                        // Split mode: load only this rank's dst rows,
-                        // then run the partial-aggregate exchange for
-                        // the innermost convolution. Load first on
-                        // every rank so the loader and exchange groups
-                        // interleave their launches in the same order
-                        // everywhere (CCC's launch-order invariant).
-                        let block = sample.layers.last().expect("sample has layers");
-                        ds_trace::span_begin_arg(clock.now(), "load", b);
-                        let feats = supervised_load(loader, &mut clock, &block.dst, None, b, ctx)?;
-                        ds_trace::span_end(clock.now());
-                        ds_trace::span_begin_arg(clock.now(), "exchange", b);
-                        let agg = supervised_exchange(ex, &mut clock, block, &feats, b, ctx)?;
-                        ds_trace::span_end(clock.now());
-                        (feats, Some(agg))
-                    } else {
-                        ds_trace::span_begin_arg(clock.now(), "load", b);
-                        let feats = supervised_load(
-                            loader,
-                            &mut clock,
-                            sample.input_nodes(),
-                            window.as_ref(),
-                            b,
-                            ctx,
-                        )?;
-                        ds_trace::span_end(clock.now());
-                        (feats, None)
-                    };
-                    if loader.take_window_dropped() {
-                        ctx.sup.record_dropped_window(ctx.rank, base + b);
-                    }
-                    if feat_tx.push(&mut clock, (sample, feats, agg)).is_err() {
-                        break;
-                    }
-                    b += 1;
-                }
-                ds_trace::span_end(clock.now());
-                Ok(clock)
-            },
-        );
-        let trainer_thread = ds_exec::spawn_scoped_named(
-            s,
-            format!("dev-{rank}-trainer"),
-            move || -> Result<(Clock, MetricAccumulator), DspError> {
-                let _trace = ds_trace::worker(rank, ds_trace::TID_TRAINER);
-                let mut clock = Clock::new();
-                ds_trace::span_begin(clock.now(), "trainer");
-                let mut metrics = MetricAccumulator::default();
-                let mut b = 0u64;
-                while let Some((sample, feats, agg)) = feat_rx.pop(&mut clock) {
-                    ctx.stall(&mut clock, WorkerKind::Trainer, b);
-                    if ctx.crashes(WorkerKind::Trainer, b) {
-                        ds_trace::instant(clock.now(), "crash", b);
-                        ctx.declare_dead(WorkerKind::Trainer, b);
-                        return Err(DspError::WorkerCrashed {
-                            rank: ctx.rank,
-                            worker: WorkerKind::Trainer,
-                            batch: b,
-                        });
-                    }
-                    ctx.sup
-                        .heartbeat(ctx.rank, WorkerKind::Trainer, b, clock.now());
-                    ds_trace::span_begin_arg(clock.now(), "train", b);
-                    let r = supervised_train(
-                        trainer,
-                        &mut clock,
-                        &sample,
-                        &feats,
-                        agg.as_ref(),
-                        b,
-                        ctx,
-                    )?;
-                    ds_trace::span_end(clock.now());
-                    // The optimizer step for global batch base+b is
-                    // done and BSP left every replica equal: the only
-                    // safe snapshot boundary.
-                    ctx.maybe_checkpoint(trainer, &clock, base, b)?;
-                    metrics.add(r.loss, r.accuracy, r.seeds);
-                    b += 1;
-                }
-                ds_trace::span_end(clock.now());
-                Ok((clock, metrics))
-            },
-        );
+                    Ok(metrics)
+                })
+            });
         let r1 = sampler_thread.join().expect("sampler worker panicked");
         let r2 = loader_thread.join().expect("loader worker panicked");
         let r3 = trainer_thread.join().expect("trainer worker panicked");
-        let c4 = prefetch_thread.map(|t| t.join().expect("prefetch worker panicked"));
-        let mut errs = Vec::new();
-        let mut keep = |e: DspError| errs.push(e);
-        let c1 = r1.map_err(&mut keep).ok();
-        let c2 = r2.map_err(&mut keep).ok();
-        let c3m = r3.map_err(&mut keep).ok();
-        if let Some(e) = pick_error(errs) {
-            return Err(e);
-        }
-        let (c1, c2, (c3, metrics)) = (c1.unwrap(), c2.unwrap(), c3m.unwrap());
+        let c4 = prefetch_thread.map(|t| {
+            let r = t.join().expect("prefetch worker panicked");
+            r.expect("the prefetcher never fails").0
+        });
+        let ((c1, ()), (c2, ()), (c3, metrics)) = match (r1, r2, r3) {
+            (Ok(r1), Ok(r2), Ok(r3)) => (r1, r2, r3),
+            (r1, r2, r3) => {
+                let errs = [r1.err(), r2.err(), r3.err()];
+                return Err(
+                    pick_error(errs.into_iter().flatten().collect()).expect("a worker failed")
+                );
+            }
+        };
         // Overlapped workers still share the device's serial resources
         // (SMs for GEMM, HBM, the PCIe and NVLink links): the pipeline
         // cannot compress below the busiest single resource. Only the
@@ -785,114 +693,6 @@ fn run_rank_pipelined(
             makespan: c1.now().max(c2.now()).max(c3.now()).max(pf_now).max(floor),
             metrics,
         })
-    })
-}
-
-fn run_rank_seq(
-    state: &mut RankState,
-    batches: Vec<Vec<NodeId>>,
-    ctx: &RankCtx,
-) -> Result<RankEpoch, DspError> {
-    let RankState {
-        sampler,
-        loader,
-        trainer,
-        // DSP-Seq has nothing to overlap prefetching with.
-        prefetcher: _,
-        exchange,
-    } = state;
-    let exchange = exchange.as_ref();
-    let _trace = ds_trace::worker(ctx.rank as u32, ds_trace::TID_MAIN);
-    let mut clock = Clock::new();
-    ds_trace::span_begin(clock.now(), "rank");
-    let mut metrics = MetricAccumulator::default();
-    let (mut sb, mut lb, mut tb) = (0.0, 0.0, 0.0);
-    let mut sampler_crashed = false;
-    let base = sampler.next_batch_index();
-    for (batch, seeds) in batches.iter().enumerate() {
-        let b = batch as u64;
-        if ctx.sampler_recoveries(sampler, &clock, b) {
-            sampler_crashed = false;
-        }
-        ctx.stall(&mut clock, WorkerKind::Sampler, b);
-        if !sampler_crashed && ctx.crashes(WorkerKind::Sampler, b) {
-            sampler_crashed = true;
-            ds_trace::instant(clock.now(), "crash", b);
-            ctx.declare_dead(WorkerKind::Sampler, b);
-            ctx.degrade_sampler(sampler);
-        }
-        if ctx.peer_sampler_crash_window(b, batches.len() as u64) {
-            // A peer dies here but is scheduled back: leave the
-            // collective group at the same batch it does, so both sides
-            // skip the same rounds and the pairing survives the rejoin.
-            ctx.degrade_sampler(sampler);
-        }
-        ctx.sup
-            .heartbeat(ctx.rank, WorkerKind::Sampler, b, clock.now());
-        let b0 = clock.busy();
-        ds_trace::span_begin_arg(clock.now(), "sample", b);
-        let sample = supervised_sample(sampler, &mut clock, seeds, b, ctx)?;
-        ds_trace::span_end(clock.now());
-        let b1 = clock.busy();
-        ctx.stall(&mut clock, WorkerKind::Loader, b);
-        if ctx.crashes(WorkerKind::Loader, b) {
-            ds_trace::instant(clock.now(), "crash", b);
-            ctx.declare_dead(WorkerKind::Loader, b);
-            return Err(DspError::WorkerCrashed {
-                rank: ctx.rank,
-                worker: WorkerKind::Loader,
-                batch: b,
-            });
-        }
-        ctx.sup
-            .heartbeat(ctx.rank, WorkerKind::Loader, b, clock.now());
-        ctx.track_rebuild(loader, &clock, b);
-        let (feats, agg) = if let Some(ex) = exchange {
-            let block = sample.layers.last().expect("sample has layers");
-            ds_trace::span_begin_arg(clock.now(), "load", b);
-            let feats = supervised_load(loader, &mut clock, &block.dst, None, b, ctx)?;
-            ds_trace::span_end(clock.now());
-            ds_trace::span_begin_arg(clock.now(), "exchange", b);
-            let agg = supervised_exchange(ex, &mut clock, block, &feats, b, ctx)?;
-            ds_trace::span_end(clock.now());
-            (feats, Some(agg))
-        } else {
-            ds_trace::span_begin_arg(clock.now(), "load", b);
-            let feats = supervised_load(loader, &mut clock, sample.input_nodes(), None, b, ctx)?;
-            ds_trace::span_end(clock.now());
-            (feats, None)
-        };
-        let b2 = clock.busy();
-        ctx.stall(&mut clock, WorkerKind::Trainer, b);
-        if ctx.crashes(WorkerKind::Trainer, b) {
-            ds_trace::instant(clock.now(), "crash", b);
-            ctx.declare_dead(WorkerKind::Trainer, b);
-            return Err(DspError::WorkerCrashed {
-                rank: ctx.rank,
-                worker: WorkerKind::Trainer,
-                batch: b,
-            });
-        }
-        ctx.sup
-            .heartbeat(ctx.rank, WorkerKind::Trainer, b, clock.now());
-        ds_trace::span_begin_arg(clock.now(), "train", b);
-        let r = supervised_train(trainer, &mut clock, &sample, &feats, agg.as_ref(), b, ctx)?;
-        ds_trace::span_end(clock.now());
-        ctx.maybe_checkpoint(trainer, &clock, base, b)?;
-        let b3 = clock.busy();
-        sb += b1 - b0;
-        lb += b2 - b1;
-        tb += b3 - b2;
-        metrics.add(r.loss, r.accuracy, r.seeds);
-    }
-    ds_trace::span_end(clock.now());
-    Ok(RankEpoch {
-        sample_busy: sb,
-        load_busy: lb,
-        train_busy: tb,
-        useful: clock.device_useful(),
-        makespan: clock.now(),
-        metrics,
     })
 }
 
@@ -929,36 +729,23 @@ impl DspSystem {
         // Split mode adds a fourth worker group for the partial-
         // aggregate exchange; it shares the device's kernel slots and
         // CCC coordination with the other three.
-        let (sampler_comm, loader_comm, trainer_comm, exchange_comm) = if pipelined {
-            let slots = Arc::new(DeviceSlots::new(gpus, cfg.slots_per_device));
-            let mk = |id: u32| {
-                Arc::new(
-                    Communicator::with_slots(
-                        id,
-                        Arc::clone(&cluster),
-                        Arc::clone(&slots),
-                        ccc.clone(),
-                    )
-                    .with_config(comm_cfg),
-                )
+        let slots = pipelined.then(|| Arc::new(DeviceSlots::new(gpus, cfg.slots_per_device)));
+        let mk = |id: u32| {
+            let comm = match &slots {
+                Some(slots) => Communicator::with_slots(
+                    id,
+                    Arc::clone(&cluster),
+                    Arc::clone(slots),
+                    ccc.clone(),
+                ),
+                None => Communicator::new(id, Arc::clone(&cluster)),
             };
-            (
-                mk(SAMPLER_WORKER),
-                mk(LOADER_WORKER),
-                mk(TRAINER_WORKER),
-                split.then(|| mk(EXCHANGE_WORKER)),
-            )
-        } else {
-            let mk = |id: u32| {
-                Arc::new(Communicator::new(id, Arc::clone(&cluster)).with_config(comm_cfg))
-            };
-            (
-                mk(SAMPLER_WORKER),
-                mk(LOADER_WORKER),
-                mk(TRAINER_WORKER),
-                split.then(|| mk(EXCHANGE_WORKER)),
-            )
+            Arc::new(comm.with_config(comm_cfg))
         };
+        let sampler_comm = mk(SAMPLER_WORKER);
+        let loader_comm = mk(LOADER_WORKER);
+        let trainer_comm = mk(TRAINER_WORKER);
+        let exchange_comm = split.then(|| mk(EXCHANGE_WORKER));
         let csp_cfg = CspConfig {
             fanout: cfg.fanout.clone(),
             scheme: cfg.scheme,
@@ -1218,8 +1005,6 @@ impl DspSystem {
     pub fn try_run_epoch_from(&mut self, epoch: u64, start: u64) -> Result<EpochStats, DspError> {
         ds_trace::begin_epoch(epoch);
         self.layout.cluster.reset_traffic();
-        let cap = self.cfg.queue_capacity;
-        let pf_window = self.cfg.prefetch_window;
         let pipelined = self.pipelined;
         let before = self.supervisor.report();
         let batches: Vec<Vec<Vec<NodeId>>> = self
@@ -1236,19 +1021,18 @@ impl DspSystem {
         if self.cfg.dynamic_policy == DynamicPolicyKind::PresamplingHotness {
             self.presample_hotness(&batches);
         }
-        let ckpt = (self.cfg.ckpt_every > 0).then(|| CkptCfg {
-            every: self.cfg.ckpt_every,
-            dir: self.cfg.ckpt_dir.clone(),
-            seed: self.cfg.seed,
-            start,
-            num_ranks: self.ranks.len(),
-        });
-        let ctxs: Vec<RankCtx> = (0..self.ranks.len())
-            .map(|rank| RankCtx {
+        let ctxs: Vec<RankCtx> = self
+            .ranks
+            .iter()
+            .zip(&batches)
+            .enumerate()
+            .map(|(rank, (state, rank_batches))| RankCtx {
                 rank,
-                exec: self.cfg.exec_compute,
-                seed: self.cfg.seed,
+                cfg: &self.cfg,
                 epoch,
+                start,
+                base: state.sampler.next_batch_index(),
+                total: rank_batches.len() as u64,
                 labels: Arc::clone(&self.layout.labels),
                 cluster: Arc::clone(&self.layout.cluster),
                 sampler_comm: Arc::clone(&self.sampler_comm),
@@ -1257,67 +1041,36 @@ impl DspSystem {
                 exchange_comm: self.exchange_comm.clone(),
                 ccc: self.ccc.clone(),
                 sup: Arc::clone(&self.supervisor),
-                ckpt: ckpt.clone(),
             })
             .collect();
-        let results: Vec<Result<RankEpoch, DspError>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = self
-                .ranks
-                .iter_mut()
-                .zip(batches)
-                .zip(&ctxs)
-                .map(|((state, rank_batches), ctx)| {
-                    ds_exec::spawn_scoped_named(scope, format!("dev-{}", ctx.rank), move || {
-                        if pipelined {
-                            run_rank_pipelined(state, rank_batches, cap, pf_window, ctx)
-                        } else {
-                            run_rank_seq(state, rank_batches, ctx)
-                        }
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("rank thread panicked"))
-                .collect()
-        });
-        let mut oks = Vec::new();
-        let mut errs = Vec::new();
-        for r in results {
-            match r {
-                Ok(e) => oks.push(e),
-                Err(e) => errs.push(e),
+        let ranks = self.ranks.iter_mut().zip(&batches).zip(&ctxs);
+        let results = on_each_rank(ranks, |_, ((state, batches), ctx)| {
+            if pipelined {
+                return run_rank_pipelined(state, batches, ctx);
             }
-        }
-        if let Some(e) = pick_error(errs) {
-            return Err(e);
-        }
-        let mut metrics = MetricAccumulator::default();
-        for r in &oks {
-            metrics.merge(&r.metrics);
-        }
-        let (loss, accuracy, seeds) = metrics.finish();
-        let (nvlink, pcie, _) = self.layout.cluster.traffic_totals();
-        let fmax = |f: fn(&RankEpoch) -> f64| oks.iter().map(f).fold(0.0, f64::max);
+            // DSP-Seq has nothing to overlap prefetching with.
+            let RankState {
+                sampler,
+                loader,
+                trainer,
+                exchange,
+                prefetcher: _,
+            } = state;
+            let mut crashed = false;
+            run_sequential(
+                ctx.rank,
+                batches,
+                |c, b, seeds| ctx.sample_step(sampler, c, b, seeds, &mut crashed),
+                |c, b, s| ctx.load_step(loader, exchange.as_ref(), c, b, s, None),
+                |c, b, s, feats, agg| ctx.train_step(trainer, c, b, s, feats, agg),
+            )
+        });
+        let stats = fold_epoch(results, &self.layout.cluster, num_batches)?;
         let after = self.supervisor.report();
         Ok(EpochStats {
-            epoch_time: fmax(|r| r.makespan),
-            sample_time: fmax(|r| r.sample_busy),
-            load_time: fmax(|r| r.load_busy),
-            train_time: fmax(|r| r.train_busy),
-            utilization: oks
-                .iter()
-                .map(|r| (r.useful / r.makespan.max(1e-12)).min(1.0))
-                .sum::<f64>()
-                / oks.len().max(1) as f64,
-            loss,
-            accuracy,
-            nvlink_bytes: nvlink,
-            pcie_bytes: pcie,
-            num_batches,
-            seeds,
             retried_batches: after.retried.len() - before.retried.len(),
             degraded_ranks: after.degraded.len() - before.degraded.len(),
+            ..stats
         })
     }
 }
@@ -1329,31 +1082,11 @@ impl System for DspSystem {
     }
 
     fn run_sampler_epoch(&mut self, epoch: u64) -> f64 {
-        let batches: Vec<Vec<Vec<NodeId>>> = self
-            .layout
-            .schedules
-            .iter()
-            .map(|s| s.epoch_batches(epoch))
-            .collect();
-        let times: Vec<f64> = std::thread::scope(|scope| {
-            let handles: Vec<_> = self
-                .ranks
-                .iter_mut()
-                .zip(batches)
-                .enumerate()
-                .map(|(rank, (state, rank_batches))| {
-                    ds_exec::spawn_scoped_named(scope, format!("dev-{rank}"), move || {
-                        let mut clock = Clock::new();
-                        for seeds in &rank_batches {
-                            let _ = state.sampler.sample_batch(&mut clock, seeds);
-                        }
-                        clock.now()
-                    })
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().unwrap()).collect()
-        });
-        times.into_iter().fold(0.0, f64::max)
+        let samplers = self
+            .ranks
+            .iter_mut()
+            .map(|r| &mut r.sampler as &mut (dyn BatchSampler + Send));
+        sampler_only_epoch(samplers, &self.layout.schedules, epoch)
     }
 
     fn evaluate_validation(&mut self) -> f64 {

@@ -124,18 +124,7 @@ pub fn build_dsp_layout(dataset: &Dataset, gpus: usize, cfg: &TrainConfig) -> Ds
         .alloc(features.total_bytes())
         .expect("host feature store");
 
-    // Seeds co-located with patches.
-    let train_new = renum.apply_nodes(&dataset.train);
-    let mut seeds_per_rank: Vec<Vec<NodeId>> = vec![Vec::new(); gpus];
-    for v in train_new {
-        seeds_per_rank[renum.owner_of(v) as usize].push(v);
-    }
-    let max_seeds = seeds_per_rank.iter().map(|s| s.len()).max().unwrap_or(0);
-    let num_batches = SeedSchedule::common_batches(max_seeds, cfg.batch_size);
-    let schedules = seeds_per_rank
-        .into_iter()
-        .map(|s| SeedSchedule::new(s, cfg.batch_size, num_batches, cfg.seed))
-        .collect();
+    let schedules = colocated_schedules(&renum, &dataset.train, gpus, cfg);
     DspLayout {
         cluster,
         graph,
@@ -215,12 +204,7 @@ pub fn build_host_layout(
     for (i, &v) in dataset.train.iter().enumerate() {
         seeds_per_rank[i % gpus].push(v);
     }
-    let max_seeds = seeds_per_rank.iter().map(|s| s.len()).max().unwrap_or(0);
-    let num_batches = SeedSchedule::common_batches(max_seeds, cfg.batch_size);
-    let schedules = seeds_per_rank
-        .into_iter()
-        .map(|s| SeedSchedule::new(s, cfg.batch_size, num_batches, cfg.seed))
-        .collect();
+    let schedules = schedules(seeds_per_rank, cfg);
     HostLayout {
         cluster,
         graph,
@@ -238,6 +222,32 @@ pub fn build_host_layout(
 /// the hot order of the graph the system actually uses.
 pub fn default_policy() -> CachePolicy {
     CachePolicy::InDegree
+}
+
+/// Per-rank seed schedules with every training seed on the rank that
+/// owns it after renumbering (seeds co-located with patches, §3.1).
+pub fn colocated_schedules(
+    renum: &Renumbering,
+    train: &[NodeId],
+    gpus: usize,
+    cfg: &TrainConfig,
+) -> Vec<SeedSchedule> {
+    let mut seeds_per_rank: Vec<Vec<NodeId>> = vec![Vec::new(); gpus];
+    for v in renum.apply_nodes(train) {
+        seeds_per_rank[renum.owner_of(v) as usize].push(v);
+    }
+    schedules(seeds_per_rank, cfg)
+}
+
+/// One schedule per rank's seeds; every rank runs the common batch
+/// count, so the rank with the most seeds covers them all.
+fn schedules(seeds_per_rank: Vec<Vec<NodeId>>, cfg: &TrainConfig) -> Vec<SeedSchedule> {
+    let max_seeds = seeds_per_rank.iter().map(Vec::len).max().unwrap_or(0);
+    let num_batches = SeedSchedule::common_batches(max_seeds, cfg.batch_size);
+    seeds_per_rank
+        .into_iter()
+        .map(|s| SeedSchedule::new(s, cfg.batch_size, num_batches, cfg.seed))
+        .collect()
 }
 
 #[cfg(test)]

@@ -27,6 +27,7 @@ pub mod baseline;
 pub mod config;
 pub mod dsp;
 pub mod error;
+mod executor;
 pub mod layout;
 pub mod multimachine;
 pub mod prefetch;
@@ -39,6 +40,7 @@ pub mod system;
 pub use config::{SystemKind, TrainConfig};
 pub use dsp::DspSystem;
 pub use error::DspError;
+pub use executor::sampler_only_epoch;
 pub use runner::build_system;
 pub use stats::EpochStats;
 pub use supervisor::{FaultReport, RetryPolicy, Supervisor};

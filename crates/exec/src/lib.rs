@@ -460,21 +460,30 @@ impl Drop for Pool {
     }
 }
 
-/// Worker count for [`global`]: one less than `DS_PAR_THREADS` (or the
-/// machine's parallelism) because the submitting thread executes the
-/// first part and helps while it waits, so total active compute threads
-/// match the configured width.
+/// Compute width of the process: `DS_PAR_THREADS` when it parses as an
+/// integer (at least 1), else the machine's available parallelism.
+/// Read once and cached; the one parser of the variable, shared with
+/// `ds_simgpu::par`.
+pub fn par_threads() -> usize {
+    static N: OnceLock<usize> = OnceLock::new();
+    *N.get_or_init(|| {
+        std::env::var("DS_PAR_THREADS")
+            .ok()
+            .and_then(|v| v.parse::<usize>().ok())
+            .map(|n| n.max(1))
+            .unwrap_or_else(|| {
+                std::thread::available_parallelism()
+                    .map(|n| n.get())
+                    .unwrap_or(1)
+            })
+    })
+}
+
+/// Worker count for [`global`]: one less than [`par_threads`] because
+/// the submitting thread executes the first part and helps while it
+/// waits, so total active compute threads match the configured width.
 fn default_workers() -> usize {
-    let threads = std::env::var("DS_PAR_THREADS")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .map(|n| n.max(1))
-        .unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-        });
-    threads.saturating_sub(1)
+    par_threads().saturating_sub(1)
 }
 
 /// The process-global pool, created on first use and never shut down.

@@ -11,20 +11,7 @@ use ds_sampling::GraphSample;
 use ds_simgpu::{Clock, Cluster};
 use ds_tensor::matrix::Matrix;
 use ds_tensor::{Adam, Optimizer};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-
-/// Wall-clock nanoseconds spent in real trainer model math
-/// (`loss_and_grad`) across all ranks. Only advances when
-/// `exec_compute` runs the actual kernels; the wall-clock benches read
-/// it to isolate the trainer stage from the simulated pipeline around
-/// it.
-static TRAIN_WALL_NS: AtomicU64 = AtomicU64::new(0);
-
-/// Cumulative wall-clock seconds of real trainer compute so far.
-pub fn train_wall_seconds() -> f64 {
-    TRAIN_WALL_NS.load(Ordering::Relaxed) as f64 * 1e-9
-}
 
 /// Result of one training mini-batch on one rank.
 #[derive(Clone, Copy, Debug, Default)]
@@ -187,9 +174,7 @@ impl Trainer {
             (BatchResult::default(), vec![0.0; self.model.num_params()])
         } else {
             self.charge_compute(clock, sample, false);
-            let t0 = std::time::Instant::now();
             let (loss, acc, grads) = self.model.loss_and_grad(sample, input, labels);
-            TRAIN_WALL_NS.fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
             (
                 BatchResult {
                     loss,
@@ -225,11 +210,9 @@ impl Trainer {
             (BatchResult::default(), vec![0.0; self.model.num_params()])
         } else {
             self.charge_compute(clock, sample, true);
-            let t0 = std::time::Instant::now();
             let (loss, acc, grads) = self
                 .model
                 .loss_and_grad_split(sample, h_dst, inner_agg, labels);
-            TRAIN_WALL_NS.fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
             (
                 BatchResult {
                     loss,
@@ -243,22 +226,12 @@ impl Trainer {
         Ok(result)
     }
 
-    /// Timing-only variant of [`Self::train_batch`]: charges the full
-    /// modelled compute time and performs the real gradient allreduce
-    /// (with zero gradients, which leaves the replica unchanged) but
-    /// skips the actual GEMM math. Used by the timing-focused
-    /// experiments where convergence is irrelevant; BSP lockstep and all
-    /// communication stay fully real.
-    pub fn train_batch_timing_only(
-        &mut self,
-        clock: &mut Clock,
-        sample: &GraphSample,
-    ) -> BatchResult {
-        self.try_train_batch_timing_only(clock, sample)
-            .unwrap_or_else(|e| panic!("training step failed: {e}"))
-    }
-
-    /// Fallible [`Self::train_batch_timing_only`].
+    /// Timing-only variant of [`Self::try_train_batch`]: charges the
+    /// full modelled compute time and performs the real gradient
+    /// allreduce (with zero gradients, which leaves the replica
+    /// unchanged) but skips the actual GEMM math. Used by the
+    /// timing-focused experiments where convergence is irrelevant; BSP
+    /// lockstep and all communication stay fully real.
     pub fn try_train_batch_timing_only(
         &mut self,
         clock: &mut Clock,

@@ -33,19 +33,9 @@
 
 use std::sync::OnceLock;
 
-/// Worker threads used by the parallel maps.
+/// Worker threads used by the parallel maps ([`ds_exec::par_threads`]).
 pub fn num_threads() -> usize {
-    static N: OnceLock<usize> = OnceLock::new();
-    *N.get_or_init(|| {
-        if let Ok(v) = std::env::var("DS_PAR_THREADS") {
-            if let Ok(n) = v.parse::<usize>() {
-                return n.max(1);
-            }
-        }
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-    })
+    ds_exec::par_threads()
 }
 
 /// Default for [`serial_cutoff`]: below this many elements the pool

@@ -63,6 +63,10 @@ cargo build --release --offline
 # the ds-testkit bench API stays honest.
 cargo build --offline --benches
 cargo test -q --offline --workspace
+# The benchmark package (perfbench/, its own workspace) drives the
+# public API; building it and running its self-tests here catches an
+# API break before the benchmark itself runs.
+cargo test -q --offline --manifest-path perfbench/Cargo.toml
 
 # Chaos stage: the full system under seed-driven fault injection, swept
 # over two fixed seeds via the env plumbing (delay-class chaos must be

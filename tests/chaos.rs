@@ -13,6 +13,9 @@
 //! 3. **A wedged collective terminates with a typed error** — dead-peer
 //!    detection or the watchdog deadline, both carrying a non-empty
 //!    diagnostics snapshot.
+//!
+//! The crash, recovery and split scenarios run twice: pipelined (DSP)
+//! and sequential (DSP-Seq), which compose the same supervised steps.
 
 use dsp::comm::{CommConfig, CommError, Communicator};
 use dsp::core::config::TrainConfig;
@@ -27,6 +30,9 @@ use std::time::{Duration, Instant};
 
 /// The two fixed seeds the CI chaos stage sweeps.
 const CHAOS_SEEDS: [u64; 2] = [11, 23];
+
+/// DSP (pipelined) and DSP-Seq.
+const MODES: [bool; 2] = [true, false];
 
 fn tiny() -> Dataset {
     DatasetSpec::tiny(1500).build()
@@ -46,10 +52,11 @@ fn run_epochs(
     plan: Option<FaultPlan>,
     gpus: usize,
     epochs: u64,
+    pipelined: bool,
 ) -> (Vec<f64>, Vec<f64>, dsp::core::FaultReport, usize) {
     let d = tiny();
     let cfg = chaos_cfg();
-    let mut sys = DspSystem::new(&d, gpus, &cfg, true);
+    let mut sys = DspSystem::new(&d, gpus, &cfg, pipelined);
     if let Some(p) = plan {
         assert!(sys.cluster().install_fault_hook(Arc::new(p)));
     }
@@ -71,10 +78,10 @@ fn run_epochs(
 #[test]
 fn delay_chaos_leaves_the_loss_trajectory_bit_identical() {
     for seed in CHAOS_SEEDS {
-        let (base_loss, base_sums, base_report, _) = run_epochs(None, 2, 2);
+        let (base_loss, base_sums, base_report, _) = run_epochs(None, 2, 2, true);
         assert!(base_report.is_clean());
         let plan = FaultPlan::new(seed).chaos(2, 6);
-        let (loss, sums, report, _) = run_epochs(Some(plan), 2, 2);
+        let (loss, sums, report, _) = run_epochs(Some(plan), 2, 2, true);
         // Delay-class faults shift timing, never data: exact equality.
         assert_eq!(base_loss, loss, "seed {seed}: loss trajectory diverged");
         assert_eq!(base_sums, sums, "seed {seed}: replicas diverged");
@@ -85,53 +92,64 @@ fn delay_chaos_leaves_the_loss_trajectory_bit_identical() {
 #[test]
 fn sampler_crash_degrades_and_the_epoch_completes() {
     let gpus = 3;
-    let (base_loss, base_sums, _, _) = run_epochs(None, gpus, 2);
-    for seed in CHAOS_SEEDS {
-        let plan = FaultPlan::new(seed).crash(1, WorkerKind::Sampler, 2);
-        let (loss, sums, report, retried) = run_epochs(Some(plan), gpus, 2);
-        // The crash is absorbed: every rank degrades to local pull-path
-        // sampling, survivors retry the in-flight batch, and because the
-        // sampling RNG is keyed on (seed, batch, layer, node) the
-        // retried/degraded samples are bit-identical — so is the loss.
-        assert_eq!(base_loss, loss, "seed {seed}: degraded run diverged");
-        assert_eq!(base_sums, sums, "seed {seed}: replicas diverged");
-        assert_eq!(report.crashed, vec![(1, WorkerKind::Sampler, 2)]);
-        assert_eq!(report.degraded, vec![0, 1, 2]);
-        assert!(
-            retried >= gpus - 1,
-            "each survivor retries its in-flight batch, got {retried}"
-        );
-        assert_eq!(report.retried.len(), retried);
+    for pipelined in MODES {
+        let (base_loss, base_sums, _, _) = run_epochs(None, gpus, 2, pipelined);
+        for seed in CHAOS_SEEDS {
+            let plan = FaultPlan::new(seed).crash(1, WorkerKind::Sampler, 2);
+            let (loss, sums, report, retried) = run_epochs(Some(plan), gpus, 2, pipelined);
+            // The crash is absorbed: every rank degrades to local
+            // pull-path sampling, survivors retry the in-flight batch,
+            // and because the sampling RNG is keyed on (seed, batch,
+            // layer, node) the retried/degraded samples are
+            // bit-identical — so is the loss.
+            let tag = format!("pipelined={pipelined} seed {seed}");
+            assert_eq!(base_loss, loss, "{tag}: degraded run diverged");
+            assert_eq!(base_sums, sums, "{tag}: replicas diverged");
+            assert_eq!(report.crashed, vec![(1, WorkerKind::Sampler, 2)], "{tag}");
+            assert_eq!(report.degraded, vec![0, 1, 2], "{tag}");
+            assert!(
+                retried >= gpus - 1,
+                "{tag}: each survivor retries its in-flight batch, got {retried}"
+            );
+            assert_eq!(report.retried.len(), retried, "{tag}");
+        }
     }
 }
 
 #[test]
 fn same_seed_crash_runs_are_identical() {
     let plan = || FaultPlan::new(CHAOS_SEEDS[0]).crash(0, WorkerKind::Sampler, 1);
-    let (loss_a, sums_a, report_a, retried_a) = run_epochs(Some(plan()), 2, 2);
-    let (loss_b, sums_b, report_b, retried_b) = run_epochs(Some(plan()), 2, 2);
-    assert_eq!(loss_a, loss_b);
-    assert_eq!(sums_a, sums_b);
-    assert_eq!(report_a, report_b);
-    assert_eq!(retried_a, retried_b);
+    for pipelined in MODES {
+        let (loss_a, sums_a, report_a, retried_a) = run_epochs(Some(plan()), 2, 2, pipelined);
+        let (loss_b, sums_b, report_b, retried_b) = run_epochs(Some(plan()), 2, 2, pipelined);
+        assert_eq!(loss_a, loss_b, "pipelined={pipelined}");
+        assert_eq!(sums_a, sums_b, "pipelined={pipelined}");
+        assert_eq!(report_a, report_b, "pipelined={pipelined}");
+        assert_eq!(retried_a, retried_b, "pipelined={pipelined}");
+    }
 }
 
 #[test]
 fn lost_cache_shard_degrades_to_cold_fetches_not_wrong_features() {
-    let (base_loss, base_sums, _, _) = run_epochs(None, 2, 1);
     let d = tiny();
     let cfg = chaos_cfg();
-    let mut sys = DspSystem::new(&d, 2, &cfg, true);
-    assert!(sys
-        .cluster()
-        .install_fault_hook(Arc::new(FaultPlan::new(0).lose_shard(1))));
-    let stats = sys.try_run_epoch(0).expect("shard loss must not fail");
-    // Cold fetches return the same bytes the cache would have: the loss
-    // is unchanged, only the fetch path (and its cost) differs.
-    assert_eq!(vec![stats.loss], base_loss);
-    assert_eq!(sys.all_checksums(), base_sums);
-    let (_, cold) = sys.loader_totals();
-    assert!(cold > 0, "lost shard should force cold fetches");
+    for pipelined in MODES {
+        let (base_loss, base_sums, _, _) = run_epochs(None, 2, 1, pipelined);
+        let mut sys = DspSystem::new(&d, 2, &cfg, pipelined);
+        assert!(sys
+            .cluster()
+            .install_fault_hook(Arc::new(FaultPlan::new(0).lose_shard(1))));
+        let stats = sys.try_run_epoch(0).expect("shard loss must not fail");
+        // Cold fetches return the same bytes the cache would have: the
+        // loss is unchanged, only the fetch path (and its cost) differs.
+        assert_eq!(vec![stats.loss], base_loss, "pipelined={pipelined}");
+        assert_eq!(sys.all_checksums(), base_sums, "pipelined={pipelined}");
+        let (_, cold) = sys.loader_totals();
+        assert!(
+            cold > 0,
+            "pipelined={pipelined}: lost shard should force cold fetches"
+        );
+    }
 }
 
 #[test]
@@ -194,36 +212,38 @@ fn trainer_crash_terminates_with_a_typed_error() {
         comm_deadline_secs: 2.0,
         ..chaos_cfg()
     };
-    let mut sys = DspSystem::new(&d, 2, &cfg, true);
-    assert!(sys
-        .cluster()
-        .install_fault_hook(Arc::new(
-            FaultPlan::new(0).crash(1, WorkerKind::Trainer, 1,)
-        )));
-    let start = Instant::now();
-    let err = sys
-        .try_run_epoch(0)
-        .expect_err("trainer has no replacement");
-    // BSP lockstep cannot survive a dead trainer: the epoch fails fast
-    // with the crash as root cause, not a hang.
-    match &err {
-        DspError::WorkerCrashed {
-            rank,
-            worker,
-            batch,
-        } => {
-            assert_eq!((*rank, *worker, *batch), (1, WorkerKind::Trainer, 1));
+    for pipelined in MODES {
+        let mut sys = DspSystem::new(&d, 2, &cfg, pipelined);
+        assert!(sys
+            .cluster()
+            .install_fault_hook(Arc::new(
+                FaultPlan::new(0).crash(1, WorkerKind::Trainer, 1,)
+            )));
+        let start = Instant::now();
+        let err = sys
+            .try_run_epoch(0)
+            .expect_err("trainer has no replacement");
+        // BSP lockstep cannot survive a dead trainer: the epoch fails
+        // fast with the crash as root cause, not a hang.
+        match &err {
+            DspError::WorkerCrashed {
+                rank,
+                worker,
+                batch,
+            } => {
+                assert_eq!((*rank, *worker, *batch), (1, WorkerKind::Trainer, 1));
+            }
+            other => panic!("pipelined={pipelined}: expected WorkerCrashed, got: {other}"),
         }
-        other => panic!("expected WorkerCrashed, got: {other}"),
+        let budget = Duration::from_secs_f64(cfg.comm_deadline_secs * (cfg.max_retries + 2) as f64);
+        assert!(
+            start.elapsed() < budget,
+            "pipelined={pipelined}: termination took {:?}, budget {budget:?}",
+            start.elapsed()
+        );
+        let report = sys.last_fault_report();
+        assert_eq!(report.crashed, vec![(1, WorkerKind::Trainer, 1)]);
     }
-    let budget = Duration::from_secs_f64(cfg.comm_deadline_secs * (cfg.max_retries + 2) as f64);
-    assert!(
-        start.elapsed() < budget,
-        "termination took {:?}, budget {budget:?}",
-        start.elapsed()
-    );
-    let report = sys.last_fault_report();
-    assert_eq!(report.crashed, vec![(1, WorkerKind::Trainer, 1)]);
 }
 
 #[test]
@@ -283,120 +303,162 @@ fn crashed_sampler_rejoins_and_the_run_exits_degraded_mode() {
     // per-epoch, so the same window re-fires every epoch and the round
     // pairing must survive repeated membership churn, not just one
     // cycle (a real-time readmission race once wedged cycle three).
-    let (base_loss, base_sums, _, _) = run_epochs(None, gpus, 4);
-    for seed in CHAOS_SEEDS {
-        let plan = FaultPlan::new(seed)
-            .crash(1, WorkerKind::Sampler, 1)
-            .recover(1, WorkerKind::Sampler, 3);
-        let (loss, sums, report, _) = run_epochs(Some(plan), gpus, 4);
-        // Degraded local sampling and the post-rejoin collective path
-        // draw the exact same samples (RNG keyed on (seed, batch,
-        // layer, node)), so crash + rejoin is invisible to the math.
-        assert_eq!(base_loss, loss, "seed {seed}: recovered run diverged");
-        assert_eq!(base_sums, sums, "seed {seed}: replicas diverged");
-        assert_eq!(report.crashed, vec![(1, WorkerKind::Sampler, 1)]);
-        assert_eq!(report.recovered, vec![(1, WorkerKind::Sampler, 3)]);
-        assert!(
-            report.fully_recovered(),
-            "run must end out of degraded mode: {}",
-            report.summary()
-        );
-        assert!(report.summary().contains("rejoin"), "{}", report.summary());
+    for pipelined in MODES {
+        let (base_loss, base_sums, _, _) = run_epochs(None, gpus, 4, pipelined);
+        for seed in CHAOS_SEEDS {
+            let plan = FaultPlan::new(seed)
+                .crash(1, WorkerKind::Sampler, 1)
+                .recover(1, WorkerKind::Sampler, 3);
+            let (loss, sums, report, _) = run_epochs(Some(plan), gpus, 4, pipelined);
+            // Degraded local sampling and the post-rejoin collective
+            // path draw the exact same samples (RNG keyed on (seed,
+            // batch, layer, node)), so crash + rejoin is invisible to
+            // the math.
+            let tag = format!("pipelined={pipelined} seed {seed}");
+            assert_eq!(base_loss, loss, "{tag}: recovered run diverged");
+            assert_eq!(base_sums, sums, "{tag}: replicas diverged");
+            assert_eq!(report.crashed, vec![(1, WorkerKind::Sampler, 1)], "{tag}");
+            assert_eq!(report.recovered, vec![(1, WorkerKind::Sampler, 3)], "{tag}");
+            assert!(
+                report.fully_recovered(),
+                "{tag}: run must end out of degraded mode: {}",
+                report.summary()
+            );
+            assert!(report.summary().contains("rejoin"), "{}", report.summary());
+        }
     }
 }
 
 #[test]
 fn flapping_peer_survives_crash_rejoin_recrash() {
     let gpus = 2;
-    let (base_loss, base_sums, _, _) = run_epochs(None, gpus, 2);
     // Crash at 1, rejoin at 3, crash again at 5, rejoin again at 7: the
     // membership generation fences each boundary, and the supervisor
     // records every distinct (rank, worker, batch) transition.
-    let plan = FaultPlan::new(CHAOS_SEEDS[0])
-        .crash(1, WorkerKind::Sampler, 1)
-        .recover(1, WorkerKind::Sampler, 3)
-        .crash(1, WorkerKind::Sampler, 5)
-        .recover(1, WorkerKind::Sampler, 7);
-    let (loss, sums, report, _) = run_epochs(Some(plan), gpus, 2);
-    assert_eq!(base_loss, loss, "flapping peer changed the trajectory");
-    assert_eq!(base_sums, sums, "replicas diverged");
-    assert_eq!(
-        report.crashed,
-        vec![(1, WorkerKind::Sampler, 1), (1, WorkerKind::Sampler, 5)]
-    );
-    assert_eq!(
-        report.recovered,
-        vec![(1, WorkerKind::Sampler, 3), (1, WorkerKind::Sampler, 7)]
-    );
-    assert!(report.fully_recovered(), "{}", report.summary());
+    let plan = || {
+        FaultPlan::new(CHAOS_SEEDS[0])
+            .crash(1, WorkerKind::Sampler, 1)
+            .recover(1, WorkerKind::Sampler, 3)
+            .crash(1, WorkerKind::Sampler, 5)
+            .recover(1, WorkerKind::Sampler, 7)
+    };
+    for pipelined in MODES {
+        let (base_loss, base_sums, _, _) = run_epochs(None, gpus, 2, pipelined);
+        let (loss, sums, report, _) = run_epochs(Some(plan()), gpus, 2, pipelined);
+        let tag = format!("pipelined={pipelined}");
+        assert_eq!(
+            base_loss, loss,
+            "{tag}: flapping peer changed the trajectory"
+        );
+        assert_eq!(base_sums, sums, "{tag}: replicas diverged");
+        assert_eq!(
+            report.crashed,
+            vec![(1, WorkerKind::Sampler, 1), (1, WorkerKind::Sampler, 5)],
+            "{tag}"
+        );
+        assert_eq!(
+            report.recovered,
+            vec![(1, WorkerKind::Sampler, 3), (1, WorkerKind::Sampler, 7)],
+            "{tag}"
+        );
+        assert!(report.fully_recovered(), "{tag}: {}", report.summary());
+    }
 }
 
 #[test]
 fn lost_shard_rebuilds_in_background_and_reaches_healthy() {
-    let (base_loss, base_sums, _, _) = run_epochs(None, 2, 1);
     let d = tiny();
     let cfg = chaos_cfg();
-    let mut sys = DspSystem::new(&d, 2, &cfg, true);
-    assert!(sys.cluster().install_fault_hook(Arc::new(
-        FaultPlan::new(0).lose_shard(1).rebuild_shard(1, 2)
-    )));
-    let stats = sys
-        .try_run_epoch(0)
-        .expect("rebuild must not fail the epoch");
-    // Degraded fetches and post-rebuild hits return identical bytes.
-    assert_eq!(vec![stats.loss], base_loss);
-    assert_eq!(sys.all_checksums(), base_sums);
-    let report = sys.last_fault_report();
-    assert_eq!(report.shard_recoveries.len(), 1, "{}", report.summary());
-    let (rank, start, healthy) = report.shard_recoveries[0];
-    assert_eq!(rank, 1);
-    assert_eq!(start, 2, "rebuild starts at the planned batch");
-    assert!(healthy > start, "bounded-bandwidth rebuild takes batches");
-    assert!(
-        report.summary().contains("healthy@"),
-        "{}",
-        report.summary()
-    );
-    let (hits, cold) = sys.loader_totals();
-    assert!(cold > 0, "degraded window must have forced cold fetches");
-    assert!(hits > 0, "rebuilt shard must serve hits again");
+    for pipelined in MODES {
+        let (base_loss, base_sums, _, _) = run_epochs(None, 2, 1, pipelined);
+        let mut sys = DspSystem::new(&d, 2, &cfg, pipelined);
+        assert!(sys.cluster().install_fault_hook(Arc::new(
+            FaultPlan::new(0).lose_shard(1).rebuild_shard(1, 2)
+        )));
+        let stats = sys
+            .try_run_epoch(0)
+            .expect("rebuild must not fail the epoch");
+        // Degraded fetches and post-rebuild hits return identical bytes.
+        let tag = format!("pipelined={pipelined}");
+        assert_eq!(vec![stats.loss], base_loss, "{tag}");
+        assert_eq!(sys.all_checksums(), base_sums, "{tag}");
+        let report = sys.last_fault_report();
+        assert_eq!(
+            report.shard_recoveries.len(),
+            1,
+            "{tag}: {}",
+            report.summary()
+        );
+        let (rank, start, healthy) = report.shard_recoveries[0];
+        assert_eq!(rank, 1, "{tag}");
+        assert_eq!(start, 2, "{tag}: rebuild starts at the planned batch");
+        assert!(
+            healthy > start,
+            "{tag}: bounded-bandwidth rebuild takes batches"
+        );
+        assert!(
+            report.summary().contains("healthy@"),
+            "{tag}: {}",
+            report.summary()
+        );
+        let (hits, cold) = sys.loader_totals();
+        assert!(
+            cold > 0,
+            "{tag}: degraded window must have forced cold fetches"
+        );
+        assert!(hits > 0, "{tag}: rebuilt shard must serve hits again");
+    }
 }
 
 #[test]
 fn checkpoints_are_byte_identical_across_same_seed_runs() {
     let d = tiny();
-    let dirs: Vec<std::path::PathBuf> = ["a", "b"]
-        .iter()
-        .map(|tag| std::env::temp_dir().join(format!("ds-ckpt-{}-{tag}", std::process::id())))
-        .collect();
-    for dir in &dirs {
-        let _ = std::fs::remove_dir_all(dir);
-        let cfg = TrainConfig {
-            ckpt_every: 4,
-            ckpt_dir: dir.clone(),
-            ..chaos_cfg()
-        };
-        let mut sys = DspSystem::new(&d, 2, &cfg, true);
-        sys.try_run_epoch(0).expect("clean epoch");
-    }
-    let list = |dir: &std::path::Path| {
-        let mut names: Vec<String> = std::fs::read_dir(dir)
-            .expect("checkpoint dir exists")
-            .map(|e| e.unwrap().file_name().into_string().unwrap())
+    for pipelined in MODES {
+        let dirs: Vec<std::path::PathBuf> = ["a", "b"]
+            .iter()
+            .map(|tag| {
+                std::env::temp_dir()
+                    .join(format!("ds-ckpt-{}-{pipelined}-{tag}", std::process::id()))
+            })
             .collect();
-        names.sort();
-        names
-    };
-    let (na, nb) = (list(&dirs[0]), list(&dirs[1]));
-    assert_eq!(na, nb, "same cadence, same snapshot set");
-    assert!(!na.is_empty(), "ckpt_every=4 must have produced snapshots");
-    for name in &na {
-        let a = std::fs::read(dirs[0].join(name)).unwrap();
-        let b = std::fs::read(dirs[1].join(name)).unwrap();
-        assert_eq!(a, b, "{name}: snapshots differ between same-seed runs");
-    }
-    for dir in &dirs {
-        let _ = std::fs::remove_dir_all(dir);
+        for dir in &dirs {
+            let _ = std::fs::remove_dir_all(dir);
+            let cfg = TrainConfig {
+                ckpt_every: 4,
+                ckpt_dir: dir.clone(),
+                ..chaos_cfg()
+            };
+            let mut sys = DspSystem::new(&d, 2, &cfg, pipelined);
+            sys.try_run_epoch(0).expect("clean epoch");
+        }
+        let list = |dir: &std::path::Path| {
+            let mut names: Vec<String> = std::fs::read_dir(dir)
+                .expect("checkpoint dir exists")
+                .map(|e| e.unwrap().file_name().into_string().unwrap())
+                .collect();
+            names.sort();
+            names
+        };
+        let (na, nb) = (list(&dirs[0]), list(&dirs[1]));
+        assert_eq!(
+            na, nb,
+            "pipelined={pipelined}: same cadence, same snapshot set"
+        );
+        assert!(
+            !na.is_empty(),
+            "pipelined={pipelined}: ckpt_every=4 must have produced snapshots"
+        );
+        for name in &na {
+            let a = std::fs::read(dirs[0].join(name)).unwrap();
+            let b = std::fs::read(dirs[1].join(name)).unwrap();
+            assert_eq!(
+                a, b,
+                "pipelined={pipelined} {name}: snapshots differ between same-seed runs"
+            );
+        }
+        for dir in &dirs {
+            let _ = std::fs::remove_dir_all(dir);
+        }
     }
 }
 
@@ -404,44 +466,51 @@ fn checkpoints_are_byte_identical_across_same_seed_runs() {
 fn resume_from_checkpoint_matches_the_uninterrupted_trajectory() {
     let d = tiny();
     let cfg = chaos_cfg();
-    // Run A: two epochs, never interrupted, no checkpointing.
-    let mut a = DspSystem::new(&d, 2, &cfg, true);
-    let _e0 = a.try_run_epoch(0).expect("epoch 0");
-    let a_e1 = a.try_run_epoch(1).expect("epoch 1");
-    let a_sums = a.all_checksums();
-    // Run B: same seed with snapshots every 4 global batches; the
-    // system is dropped mid-story and a fresh one resumed from the
-    // latest snapshot on disk.
-    let dir = std::env::temp_dir().join(format!("ds-ckpt-resume-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    let ckpt_cfg = TrainConfig {
-        ckpt_every: 4,
-        ckpt_dir: dir.clone(),
-        ..chaos_cfg()
-    };
-    {
-        let mut b = DspSystem::new(&d, 2, &ckpt_cfg, true);
-        b.try_run_epoch(0).expect("epoch 0 with snapshots");
-        // "crash": the system is dropped here, all in-memory state lost.
+    for pipelined in MODES {
+        // Run A: two epochs, never interrupted, no checkpointing.
+        let mut a = DspSystem::new(&d, 2, &cfg, pipelined);
+        let _e0 = a.try_run_epoch(0).expect("epoch 0");
+        let a_e1 = a.try_run_epoch(1).expect("epoch 1");
+        let a_sums = a.all_checksums();
+        // Run B: same seed with snapshots every 4 global batches; the
+        // system is dropped mid-story and a fresh one resumed from the
+        // latest snapshot on disk.
+        let dir =
+            std::env::temp_dir().join(format!("ds-ckpt-resume-{}-{pipelined}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let ckpt_cfg = TrainConfig {
+            ckpt_every: 4,
+            ckpt_dir: dir.clone(),
+            ..chaos_cfg()
+        };
+        {
+            let mut b = DspSystem::new(&d, 2, &ckpt_cfg, pipelined);
+            b.try_run_epoch(0).expect("epoch 0 with snapshots");
+            // "crash": the system is dropped here, all in-memory state
+            // lost.
+        }
+        let ckpt = dsp::store::Checkpoint::latest(&dir)
+            .expect("scan checkpoint dir")
+            .expect("at least one snapshot");
+        assert_eq!(ckpt.epoch, 0);
+        assert!(ckpt.batch_in_epoch > 0);
+        let mut b = DspSystem::resume(&d, 2, &cfg, pipelined, &ckpt);
+        b.try_run_epoch_from(ckpt.epoch, ckpt.batch_in_epoch)
+            .expect("finish the interrupted epoch");
+        let b_e1 = b.try_run_epoch(1).expect("epoch 1 after resume");
+        // Bit-identical: same losses for the post-resume epoch, same
+        // final replica checksums — the interruption is invisible.
+        assert_eq!(
+            a_e1.loss, b_e1.loss,
+            "pipelined={pipelined}: epoch-1 loss diverged after resume"
+        );
+        assert_eq!(
+            a_sums,
+            b.all_checksums(),
+            "pipelined={pipelined}: final model diverged after resume"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
     }
-    let ckpt = dsp::store::Checkpoint::latest(&dir)
-        .expect("scan checkpoint dir")
-        .expect("at least one snapshot");
-    assert_eq!(ckpt.epoch, 0);
-    assert!(ckpt.batch_in_epoch > 0);
-    let mut b = DspSystem::resume(&d, 2, &cfg, true, &ckpt);
-    b.try_run_epoch_from(ckpt.epoch, ckpt.batch_in_epoch)
-        .expect("finish the interrupted epoch");
-    let b_e1 = b.try_run_epoch(1).expect("epoch 1 after resume");
-    // Bit-identical: same losses for the post-resume epoch, same final
-    // replica checksums — the interruption is invisible.
-    assert_eq!(a_e1.loss, b_e1.loss, "epoch-1 loss diverged after resume");
-    assert_eq!(
-        a_sums,
-        b.all_checksums(),
-        "final model diverged after resume"
-    );
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 // ---------------------------------------------------------------------
@@ -468,8 +537,8 @@ fn split_peer_crash_mid_exchange_terminates_within_deadline() {
         comm_deadline_secs: 2.0,
         ..split_cfg()
     };
-    let run = || {
-        let mut sys = DspSystem::new(&d, 2, &cfg, true);
+    let run = |pipelined: bool| {
+        let mut sys = DspSystem::new(&d, 2, &cfg, pipelined);
         assert!(sys
             .cluster()
             .install_fault_hook(Arc::new(FaultPlan::new(0).crash(1, WorkerKind::Loader, 1))));
@@ -495,11 +564,16 @@ fn split_peer_crash_mid_exchange_terminates_within_deadline() {
         }
         (format!("{err}"), sys.last_fault_report())
     };
-    let (err_a, report_a) = run();
-    let (err_b, report_b) = run();
-    assert_eq!(err_a, err_b, "same-seed crash outcomes diverged");
-    assert_eq!(report_a, report_b);
-    assert_eq!(report_a.crashed, vec![(1, WorkerKind::Loader, 1)]);
+    for pipelined in MODES {
+        let (err_a, report_a) = run(pipelined);
+        let (err_b, report_b) = run(pipelined);
+        assert_eq!(
+            err_a, err_b,
+            "pipelined={pipelined}: same-seed crash outcomes diverged"
+        );
+        assert_eq!(report_a, report_b, "pipelined={pipelined}");
+        assert_eq!(report_a.crashed, vec![(1, WorkerKind::Loader, 1)]);
+    }
 }
 
 /// The PR-7 membership fences hold under split mode too: a sampler
@@ -509,8 +583,8 @@ fn split_peer_crash_mid_exchange_terminates_within_deadline() {
 fn split_sampler_crash_rejoin_matches_clean_split_run() {
     let d = tiny();
     let cfg = split_cfg();
-    let run = |plan: Option<FaultPlan>| {
-        let mut sys = DspSystem::new(&d, 2, &cfg, true);
+    let run = |plan: Option<FaultPlan>, pipelined: bool| {
+        let mut sys = DspSystem::new(&d, 2, &cfg, pipelined);
         if let Some(p) = plan {
             assert!(sys.cluster().install_fault_hook(Arc::new(p)));
         }
@@ -520,17 +594,20 @@ fn split_sampler_crash_rejoin_matches_clean_split_run() {
         }
         (losses, sys.all_checksums(), sys.last_fault_report())
     };
-    let (base_loss, base_sums, base_report) = run(None);
-    assert!(base_report.is_clean());
-    let plan = FaultPlan::new(CHAOS_SEEDS[0])
-        .crash(1, WorkerKind::Sampler, 1)
-        .recover(1, WorkerKind::Sampler, 3);
-    let (loss, sums, report) = run(Some(plan));
-    assert_eq!(base_loss, loss, "split-mode recovered run diverged");
-    assert_eq!(base_sums, sums, "split-mode replicas diverged");
-    assert_eq!(report.crashed, vec![(1, WorkerKind::Sampler, 1)]);
-    assert_eq!(report.recovered, vec![(1, WorkerKind::Sampler, 3)]);
-    assert!(report.fully_recovered(), "{}", report.summary());
+    for pipelined in MODES {
+        let (base_loss, base_sums, base_report) = run(None, pipelined);
+        assert!(base_report.is_clean());
+        let plan = FaultPlan::new(CHAOS_SEEDS[0])
+            .crash(1, WorkerKind::Sampler, 1)
+            .recover(1, WorkerKind::Sampler, 3);
+        let (loss, sums, report) = run(Some(plan), pipelined);
+        let tag = format!("pipelined={pipelined}");
+        assert_eq!(base_loss, loss, "{tag}: split-mode recovered run diverged");
+        assert_eq!(base_sums, sums, "{tag}: split-mode replicas diverged");
+        assert_eq!(report.crashed, vec![(1, WorkerKind::Sampler, 1)], "{tag}");
+        assert_eq!(report.recovered, vec![(1, WorkerKind::Sampler, 3)], "{tag}");
+        assert!(report.fully_recovered(), "{tag}: {}", report.summary());
+    }
 }
 
 /// Serving through a shard rebuild: rank 1's feature shard is lost

@@ -134,7 +134,10 @@ fn all_systems_report_consistent_stats_shape() {
     let d = dataset();
     let mut cfg = TrainConfig::test_default();
     cfg.exec_compute = false;
-    for kind in SystemKind::paper_suite() {
+    let kinds = SystemKind::paper_suite()
+        .into_iter()
+        .chain([SystemKind::DspSeq]);
+    for kind in kinds {
         let mut sys = build_system(kind, &d, 2, &cfg);
         let s = sys.run_epoch(0);
         assert!(s.epoch_time > 0.0);

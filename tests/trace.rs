@@ -136,3 +136,54 @@ fn spans_stay_balanced_when_a_fault_plan_crashes_a_worker() {
     let json = dsp::trace::chrome::chrome_json(&events);
     dsp::trace::chrome::check_chrome_text(&json).expect("crash-run export well-formed");
 }
+
+#[test]
+fn baselines_trace_the_same_step_spans_as_dsp_seq() {
+    use dsp::core::config::SystemKind;
+    use dsp::trace::Payload;
+
+    let _lock = TraceLock::acquire();
+    dsp::trace::recorder().set_enabled(true);
+
+    // DSP-Seq and the four baselines share one sequential composition:
+    // every rank's main lane holds one `rank` span around `sample`,
+    // `load` and `train` spans tagged with each batch index in turn.
+    let d = DatasetSpec::tiny(1500).build();
+    let cfg = TrainConfig {
+        batch_size: 64,
+        exec_compute: false,
+        ..TrainConfig::test_default()
+    };
+    let gpus = 2;
+    for kind in [
+        SystemKind::DspSeq,
+        SystemKind::Quiver,
+        SystemKind::DglUva,
+        SystemKind::DglCpu,
+        SystemKind::PyG,
+    ] {
+        let mut sys = dsp::core::build_system(kind, &d, gpus, &cfg);
+        let stats = sys.run_epoch(0);
+        let events = dsp::trace::recorder().take();
+        dsp::trace::chrome::check_balance(&events).expect("B/E balanced per lane");
+        for rank in 0..gpus as u32 {
+            let steps: Vec<(&str, u64)> = events
+                .iter()
+                .filter(|e| e.rank == rank && e.tid == dsp::trace::TID_MAIN)
+                .filter_map(|e| match e.payload {
+                    Payload::Begin { name, arg, .. }
+                        if matches!(name, "rank" | "sample" | "load" | "train") =>
+                    {
+                        Some((name, arg))
+                    }
+                    _ => None,
+                })
+                .collect();
+            let mut expected = vec![("rank", 0)];
+            for b in 0..stats.num_batches as u64 {
+                expected.extend([("sample", b), ("load", b), ("train", b)]);
+            }
+            assert_eq!(steps, expected, "{} rank {rank}", sys.name());
+        }
+    }
+}
