@@ -7,9 +7,9 @@
 //! two keys into `BENCH_gemm.json`:
 //!
 //! - `<lane>_ms` — best-of-N wall-clock milliseconds (noisy; gated
-//!   generously by `bench_gemm_diff`),
+//!   generously, at 4× the baseline, by `bench_gate gemm`),
 //! - `<lane>_hash` — FNV-1a over the output's f32 bit patterns
-//!   (deterministic; gated *exactly* by `bench_gemm_diff`).
+//!   (deterministic; gated *exactly* by `bench_gate gemm`).
 //!
 //! The shape sweep covers the GEMM shapes the Fig. 9 training run and
 //! the `bench_pipeline` trainer actually issue (m = sampled block
@@ -23,6 +23,10 @@
 //! Quick mode (`DSP_BENCH_QUICK=1`) only lowers the repeat counts;
 //! shapes and therefore hashes are identical in both modes, so the
 //! committed baseline's hash gate holds in CI.
+//!
+//! ```sh
+//! cargo run --release -p ds-bench --bin bench_gemm [out.json]
+//! ```
 
 use ds_gnn::model::{GnnKind, GnnModel};
 use ds_rng::Rng;
@@ -265,6 +269,9 @@ fn main() {
         );
     }
     json.push_str("}\n");
-    std::fs::write("BENCH_gemm.json", json).expect("write BENCH_gemm.json");
-    println!("BENCH_gemm.json: {} lanes", lanes.len());
+    let out = std::env::args()
+        .nth(1)
+        .unwrap_or_else(|| "BENCH_gemm.json".into());
+    std::fs::write(&out, json).unwrap_or_else(|e| panic!("write {out}: {e}"));
+    println!("{out}: {} lanes", lanes.len());
 }

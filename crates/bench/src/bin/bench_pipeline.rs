@@ -5,8 +5,11 @@
 //! stream (not recomputed by hand), so this file is also an end-to-end
 //! check that the instrumentation carries the whole story.
 //!
+//! CI gates the file against the committed
+//! `results/BENCH_baseline.json` with `bench_gate pipeline`.
+//!
 //! ```sh
-//! cargo run --release -p ds-bench --bin bench_pipeline
+//! cargo run --release -p ds-bench --bin bench_pipeline [out.json]
 //! ```
 
 use ds_graph::DatasetSpec;
@@ -51,7 +54,7 @@ fn main() {
     // Recovery lane: a second, smaller system loses rank 1's cache
     // shard and rebuilds it in the background while its epoch runs.
     // Its `recovery.*` counters fold into the same telemetry stream,
-    // so the diff gate can hold time-to-healthy in place release to
+    // so the gate can hold time-to-healthy in place release to
     // release.
     let rspec = DatasetSpec::tiny(1200);
     let rdataset = rspec.build();
@@ -100,9 +103,12 @@ fn main() {
          peak depth {} (injector {})",
         ex.submitted, ex.executed, ex.helped, ex.stolen, ex.max_deque_depth, ex.max_injector_depth
     );
-    std::fs::write("BENCH_pipeline.json", t.to_json()).expect("write BENCH_pipeline.json");
+    let out = std::env::args()
+        .nth(1)
+        .unwrap_or_else(|| "BENCH_pipeline.json".into());
+    std::fs::write(&out, t.to_json()).unwrap_or_else(|e| panic!("write {out}: {e}"));
     println!(
-        "BENCH_pipeline.json: {} epochs, epoch_time {:.3} ms, utilization {:.0}%, \
+        "{out}: {} epochs, epoch_time {:.3} ms, utilization {:.0}%, \
          {} stages, {} queues ({} events)",
         t.epochs,
         t.epoch_time_s * 1e3,

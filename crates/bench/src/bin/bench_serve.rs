@@ -7,7 +7,7 @@
 //! byte-deterministic for a given source tree: CI runs this binary
 //! twice and `cmp`s the outputs, then gates the latency and goodput
 //! columns against the committed `results/BENCH_serve_baseline.json`
-//! via `bench_serve_diff`.
+//! via `bench_gate serve`.
 //!
 //! ```sh
 //! cargo run --release -p ds-bench --bin bench_serve [out.json]

@@ -8,7 +8,7 @@
 //! Every number comes off the virtual clock, so the file is
 //! byte-deterministic for a given source tree: CI runs this binary
 //! twice and `cmp`s the outputs, then gates the times against the
-//! committed `results/BENCH_split_baseline.json` via `bench_split_diff`.
+//! committed `results/BENCH_split_baseline.json` via `bench_gate split`.
 //!
 //! ```sh
 //! cargo run --release -p ds-bench --bin bench_split [out.json]

@@ -22,9 +22,16 @@
 //! Run e.g. `cargo run --release -p ds-bench --bin table4_epoch_time`.
 //! Set `DSP_BENCH_QUICK=1` to use 4×-smaller datasets and fewer
 //! measurement epochs (CI mode); results keep their shape.
+//!
+//! The machine-readable producers (`bench_pipeline`, `bench_serve`,
+//! `bench_split`, `bench_gemm`) are held against their committed
+//! `results/` baselines by one regression gate, [`gate`], run as
+//! `bench_gate <pipeline|serve|split|gemm> [fresh.json] [baseline.json]`.
 
 use ds_graph::{Dataset, DatasetSpec};
 use std::sync::OnceLock;
+
+pub mod gate;
 
 /// Whether quick (CI) mode is on.
 pub fn quick_mode() -> bool {

@@ -460,22 +460,28 @@ impl Drop for Pool {
     }
 }
 
-/// Compute width of the process: `DS_PAR_THREADS` when it parses as an
-/// integer (at least 1), else the machine's available parallelism.
-/// Read once and cached; the one parser of the variable, shared with
-/// `ds_simgpu::par`.
+/// Parses a `DS_PAR_THREADS` value: unset is `None`, `0` clamps to 1,
+/// and anything that is not a non-negative integer (the empty string
+/// included) panics naming the variable and the value.
+fn parse_par_threads(var: Option<&str>) -> Option<usize> {
+    var.map(|v| {
+        v.parse::<usize>()
+            .unwrap_or_else(|_| panic!("DS_PAR_THREADS must be a non-negative integer, got {v:?}"))
+            .max(1)
+    })
+}
+
+/// Compute width of the process: `DS_PAR_THREADS` when set (at least
+/// 1), else the machine's available parallelism. Read once and cached;
+/// the one parser of the variable, shared with `ds_simgpu::par`.
 pub fn par_threads() -> usize {
     static N: OnceLock<usize> = OnceLock::new();
     *N.get_or_init(|| {
-        std::env::var("DS_PAR_THREADS")
-            .ok()
-            .and_then(|v| v.parse::<usize>().ok())
-            .map(|n| n.max(1))
-            .unwrap_or_else(|| {
-                std::thread::available_parallelism()
-                    .map(|n| n.get())
-                    .unwrap_or(1)
-            })
+        parse_par_threads(std::env::var("DS_PAR_THREADS").ok().as_deref()).unwrap_or_else(|| {
+            std::thread::available_parallelism()
+                .map(|n| n.get())
+                .unwrap_or(1)
+        })
     })
 }
 
@@ -536,6 +542,21 @@ where
 mod tests {
     use super::*;
     use crate::sync::AtomicU32;
+
+    #[test]
+    fn par_threads_parsing_clamps_zero_and_rejects_malformed() {
+        assert_eq!(parse_par_threads(None), None);
+        assert_eq!(parse_par_threads(Some("0")), Some(1));
+        assert_eq!(parse_par_threads(Some("8")), Some(8));
+        for bad in ["", "two", "-1", "1.5", " 4"] {
+            let err = std::panic::catch_unwind(|| parse_par_threads(Some(bad))).unwrap_err();
+            let msg = err.downcast_ref::<String>().expect("formatted panic");
+            assert!(
+                msg.contains("DS_PAR_THREADS") && msg.contains(&format!("{bad:?}")),
+                "{msg}"
+            );
+        }
+    }
 
     #[test]
     fn map_indexed_returns_results_in_index_order() {

@@ -343,19 +343,27 @@ impl FaultPlan {
 
     /// Builds a plan from `DS_FAULT_PLAN` (spec string) and
     /// `DS_FAULT_SEED` (defaults to 0); `None` when `DS_FAULT_PLAN` is
-    /// unset. Malformed specs abort loudly rather than silently running
-    /// a different experiment than the operator asked for.
+    /// unset. Malformed specs and seeds abort loudly rather than
+    /// silently running a different experiment than the operator asked
+    /// for.
     pub fn from_env(ranks: usize) -> Option<Self> {
         let spec = std::env::var("DS_FAULT_PLAN").ok()?;
-        let seed = std::env::var("DS_FAULT_SEED")
-            .ok()
-            .and_then(|s| s.parse().ok())
-            .unwrap_or(0);
+        let seed = parse_seed(std::env::var("DS_FAULT_SEED").ok().as_deref());
         match Self::parse(&spec, seed, ranks) {
             Ok(p) => Some(p),
             Err(e) => panic!("invalid DS_FAULT_PLAN: {e}"),
         }
     }
+}
+
+/// Parses a `DS_FAULT_SEED` value: unset is seed 0, and a value that is
+/// not a `u64` (the empty string included) panics naming the variable
+/// and the value.
+fn parse_seed(var: Option<&str>) -> u64 {
+    var.map_or(0, |v| {
+        v.parse()
+            .unwrap_or_else(|_| panic!("DS_FAULT_SEED must be a non-negative integer, got {v:?}"))
+    })
 }
 
 impl FaultHook for FaultPlan {
@@ -428,6 +436,21 @@ impl FaultHook for FaultPlan {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn seed_parsing_defaults_to_zero_and_rejects_malformed() {
+        assert_eq!(parse_seed(None), 0);
+        assert_eq!(parse_seed(Some("7")), 7);
+        assert_eq!(parse_seed(Some("18446744073709551615")), u64::MAX);
+        for bad in ["", "seven", "-1", "1.5", " 4", "18446744073709551616"] {
+            let err = std::panic::catch_unwind(|| parse_seed(Some(bad))).unwrap_err();
+            let msg = err.downcast_ref::<String>().expect("formatted panic");
+            assert!(
+                msg.contains("DS_FAULT_SEED") && msg.contains(&format!("{bad:?}")),
+                "{msg}"
+            );
+        }
+    }
 
     #[test]
     fn builder_schedules_are_queryable() {

@@ -5,7 +5,7 @@
 //! times and rates, `{:.6}` for derived ratios) exactly like
 //! `ds_trace::summary::Telemetry::to_json`, so that two runs with the
 //! same seed produce *byte-identical* files — which is what the CI gate
-//! `cmp`s and what `bench_serve_diff` parses back through
+//! `cmp`s and what `bench_gate serve` parses back through
 //! `ds_trace::json`.
 
 use crate::engine::ServeStats;

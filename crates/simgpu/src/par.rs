@@ -43,11 +43,15 @@ pub fn num_threads() -> usize {
 const SERIAL_CUTOFF_DEFAULT: usize = 4096;
 
 /// Parses a `DS_PAR_SERIAL_CUTOFF` value; `None` falls back to the
-/// default. Split out so the parsing is testable without racing on the
-/// process environment.
+/// default, and a malformed value (the empty string included) panics
+/// naming the variable and the value. Split out so the parsing is
+/// testable without racing on the process environment.
 fn parse_serial_cutoff(var: Option<&str>) -> usize {
-    var.and_then(|v| v.parse::<usize>().ok())
-        .unwrap_or(SERIAL_CUTOFF_DEFAULT)
+    var.map_or(SERIAL_CUTOFF_DEFAULT, |v| {
+        v.parse::<usize>().unwrap_or_else(|_| {
+            panic!("DS_PAR_SERIAL_CUTOFF must be a non-negative integer, got {v:?}")
+        })
+    })
 }
 
 /// Input length at or below which the parallel maps run serially.
@@ -298,13 +302,19 @@ mod tests {
     }
 
     #[test]
-    fn serial_cutoff_parsing_accepts_numbers_and_falls_back() {
+    fn serial_cutoff_parsing_accepts_numbers_and_rejects_malformed() {
         assert_eq!(parse_serial_cutoff(None), SERIAL_CUTOFF_DEFAULT);
         assert_eq!(parse_serial_cutoff(Some("0")), 0);
         assert_eq!(parse_serial_cutoff(Some("128")), 128);
-        // Garbage falls back instead of panicking.
-        assert_eq!(parse_serial_cutoff(Some("tiny")), SERIAL_CUTOFF_DEFAULT);
-        assert_eq!(parse_serial_cutoff(Some("")), SERIAL_CUTOFF_DEFAULT);
+        // Garbage aborts instead of silently running at the default.
+        for bad in ["tiny", "", "-1", " 4"] {
+            let err = std::panic::catch_unwind(|| parse_serial_cutoff(Some(bad))).unwrap_err();
+            let msg = err.downcast_ref::<String>().expect("formatted panic");
+            assert!(
+                msg.contains("DS_PAR_SERIAL_CUTOFF") && msg.contains(&format!("{bad:?}")),
+                "{msg}"
+            );
+        }
     }
 
     #[test]

@@ -45,19 +45,24 @@ pub const NR: usize = 16;
 /// Default rows per parallel work unit.
 const ROW_BLOCK_DEFAULT: usize = 64;
 
+/// Parses a `DS_GEMM_BLOCK` value: unset is the default, `0` clamps to
+/// 1, and a malformed value (the empty string included) panics naming
+/// the variable and the value.
+fn parse_row_block(var: Option<&str>) -> usize {
+    var.map_or(ROW_BLOCK_DEFAULT, |v| {
+        v.parse::<usize>()
+            .unwrap_or_else(|_| panic!("DS_GEMM_BLOCK must be a non-negative integer, got {v:?}"))
+            .max(1)
+    })
+}
+
 /// Rows of the output each parallel work unit owns. Chunk boundaries —
 /// not the thread count — define the work units, so this knob trades
 /// scheduling grain for locality without affecting results. Overridable
 /// with `DS_GEMM_BLOCK` (clamped to at least 1).
 pub fn row_block() -> usize {
     static N: OnceLock<usize> = OnceLock::new();
-    *N.get_or_init(|| {
-        std::env::var("DS_GEMM_BLOCK")
-            .ok()
-            .and_then(|v| v.parse::<usize>().ok())
-            .map(|n| n.max(1))
-            .unwrap_or(ROW_BLOCK_DEFAULT)
-    })
+    *N.get_or_init(|| parse_row_block(std::env::var("DS_GEMM_BLOCK").ok().as_deref()))
 }
 
 /// A source of left-operand rows for the packing stage. `write_row`
@@ -516,6 +521,21 @@ pub fn row_fold_mut<S, F: FnMut(S, &mut f32) -> S>(row: &mut [f32], init: S, mut
 mod tests {
     use super::*;
     use ds_testkit::prelude::*;
+
+    #[test]
+    fn row_block_parsing_clamps_zero_and_rejects_malformed() {
+        assert_eq!(parse_row_block(None), ROW_BLOCK_DEFAULT);
+        assert_eq!(parse_row_block(Some("0")), 1);
+        assert_eq!(parse_row_block(Some("128")), 128);
+        for bad in ["", "two", "-1", "1.5", " 4"] {
+            let err = std::panic::catch_unwind(|| parse_row_block(Some(bad))).unwrap_err();
+            let msg = err.downcast_ref::<String>().expect("formatted panic");
+            assert!(
+                msg.contains("DS_GEMM_BLOCK") && msg.contains(&format!("{bad:?}")),
+                "{msg}"
+            );
+        }
+    }
 
     fn rand_matrix(rows: usize, cols: usize, seed: u64) -> Matrix {
         let mut rng = ds_rng::Rng::seed_from_u64(seed);

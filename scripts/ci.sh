@@ -7,25 +7,33 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+# bench_stage <kind> <runs>: one gated benchmark lane. bench_<kind>
+# writes BENCH_<kind>.json in quick mode; with <runs> = 2 a second run
+# into target/ must be byte-identical (the virtual clock is
+# deterministic), then `bench_gate <kind>` holds the fresh file against
+# its committed results/ baseline.
+bench_stage() {
+    local kind=$1 runs=$2
+    local out=BENCH_$kind.json repeat=target/BENCH_${kind}_repeat.json
+    rm -f "$out" "$repeat"
+    DSP_BENCH_QUICK=1 cargo run -q --release --offline -p ds-bench --bin "bench_$kind" -- "$out"
+    test -s "$out"
+    if [ "$runs" = 2 ]; then
+        DSP_BENCH_QUICK=1 cargo run -q --release --offline -p ds-bench --bin "bench_$kind" -- \
+            "$repeat"
+        cmp "$out" "$repeat"
+    fi
+    cargo run -q --release --offline -p ds-bench --bin bench_gate -- "$kind" "$out"
+}
+
 # Serve stage: the online-inference lane. bench_serve replays the same
 # seeded open-loop traces twice — the reports must be byte-identical
 # (virtual-clock determinism is part of the serving contract) — and the
 # latency/goodput columns are gated against the committed baseline.
 # Invocable alone as `scripts/ci.sh serve`.
-serve_stage() {
-    rm -f BENCH_serve.json target/BENCH_serve_repeat.json
-    cargo run -q --release --offline -p ds-bench --bin bench_serve
-    test -s BENCH_serve.json
-    cargo run -q --release --offline -p ds-bench --bin bench_serve -- \
-        target/BENCH_serve_repeat.json
-    cmp BENCH_serve.json target/BENCH_serve_repeat.json
-    cargo run -q --release --offline -p ds-bench --bin bench_serve_diff -- \
-        BENCH_serve.json results/BENCH_serve_baseline.json
-}
-
 if [ "${1:-}" = "serve" ]; then
     cargo build --release --offline
-    serve_stage
+    bench_stage serve 2
     exit 0
 fi
 
@@ -37,14 +45,7 @@ fi
 # split exchange protocol's ds-check models rerun by name.
 # Invocable alone as `scripts/ci.sh split`.
 split_stage() {
-    rm -f BENCH_split.json target/BENCH_split_repeat.json
-    DSP_BENCH_QUICK=1 cargo run -q --release --offline -p ds-bench --bin bench_split
-    test -s BENCH_split.json
-    DSP_BENCH_QUICK=1 cargo run -q --release --offline -p ds-bench --bin bench_split -- \
-        target/BENCH_split_repeat.json
-    cmp BENCH_split.json target/BENCH_split_repeat.json
-    cargo run -q --release --offline -p ds-bench --bin bench_split_diff -- \
-        BENCH_split.json results/BENCH_split_baseline.json
+    bench_stage split 2
     cargo test -q --offline --features check --test check_models -- split
 }
 
@@ -103,48 +104,45 @@ cargo test -q --offline -p ds-check
 cargo test -q --offline -p ds-pipeline --features check
 cargo test -q --offline -p ds-comm --features check
 
-# Trace stage: observability end to end. The traced quickstart must
+# Trace stage: observability end to end. The traced quickstart runs in
+# target/quickstart (it writes its exports under ./results) and must
 # export a well-formed Chrome trace (valid JSON, every B matched by an
-# E per lane — trace_check re-parses the file from disk), and the
-# telemetry emitter must produce non-empty machine-readable perf points
-# folded from the trace stream.
-DS_TRACE=1 cargo run -q --release --offline --example quickstart > /dev/null
+# E per lane — trace_check re-parses the file from disk) and the same
+# folded stacks as the committed results/quickstart_folded.txt: span
+# structure is part of the determinism contract.
+cargo build -q --release --offline --example quickstart
+rm -rf target/quickstart
+mkdir -p target/quickstart
+(cd target/quickstart && DS_TRACE=1 ../release/examples/quickstart > /dev/null)
 cargo run -q --release --offline -p ds-bench --bin trace_check -- \
-    results/quickstart_trace.json
-rm -f BENCH_pipeline.json
-DSP_BENCH_QUICK=1 cargo run -q --release --offline -p ds-bench --bin bench_pipeline
-test -s BENCH_pipeline.json
-# Regression gate: virtual-clock times are deterministic, so the fresh
-# run must sit within 25% of the committed baseline on every stage —
-# and the beneficial counters (cache.hits, cache.prefetch_hits) must
-# still be flowing.
-cargo run -q --release --offline -p ds-bench --bin bench_diff -- \
-    BENCH_pipeline.json results/BENCH_baseline.json
+    target/quickstart/results/quickstart_trace.json
+cmp results/quickstart_folded.txt target/quickstart/results/quickstart_folded.txt
+# Pipeline telemetry: byte-identical across two runs, and gated against
+# the committed baseline — every stage's mean within 25%, and the
+# beneficial counters (cache.hits, cache.prefetch_hits) still flowing.
+bench_stage pipeline 2
 
 # Kernel stage: wall-clock microbench of the packed-GEMM / fused-gather
 # tensor kernels. Output hashes are bit-deterministic and identical in
 # quick mode, so they gate exactly against the committed baseline;
 # wall-clock columns are machine noise and gate only at a generous
-# factor (the gate catches fast-path cliffs, not percent drift).
-rm -f BENCH_gemm.json
-DSP_BENCH_QUICK=1 cargo run -q --release --offline -p ds-bench --bin bench_gemm
-test -s BENCH_gemm.json
-cargo run -q --release --offline -p ds-bench --bin bench_gemm_diff -- \
-    BENCH_gemm.json results/BENCH_gemm_baseline.json
+# factor (the gate catches fast-path cliffs, not percent drift). One
+# run only: the `_ms` lanes are wall time, so the file never repeats.
+bench_stage gemm 1
 
 # Cache-policy ablation: static/LRU/LFU/hotness vs the Belady oracle
 # ceiling. The bin self-asserts the dominance invariants (oracle >= all,
-# hotness beats static on the shifted workload) and its output must be
-# byte-identical across runs — policy replay is part of the determinism
-# contract.
-cargo run -q --release --offline -p ds-bench --bin ablation_cache
-cargo run -q --release --offline -p ds-bench --bin ablation_cache -- \
-    target/ablation_cache_repeat.txt
-cmp results/ablation_cache.txt target/ablation_cache_repeat.txt
+# hotness beats static on the shifted workload), and two runs into
+# target/ must both equal the committed results/ablation_cache.txt —
+# policy replay is part of the determinism contract.
+for out in target/ablation_cache.txt target/ablation_cache_repeat.txt; do
+    cargo run -q --release --offline -p ds-bench --bin ablation_cache -- "$out"
+    cmp results/ablation_cache.txt "$out"
+done
 
-# Serving: double-run byte-identity + latency/goodput gate (see
-# serve_stage above).
-serve_stage
+# Serving: double-run byte-identity + latency/goodput gate (see the
+# serve stage above).
+bench_stage serve 2
 
 # Split parallelism: double-run byte-identity of the DSP-vs-GSplit
 # head-to-head + epoch-time/crossover gate + exchange-protocol models
